@@ -400,24 +400,15 @@ let load_string ?config s =
     end
   done;
   (* Replay the allocator's crossing-map maintenance object by object. *)
-  let cshift = Heap.card_shift h in
-  let set_crossing (si : Heap.seg_info) ~off ~nwords =
-    let first_c = (off + (1 lsl cshift) - 1) lsr cshift in
-    let last_c = (off + nwords - 1) lsr cshift in
-    for c = first_c to last_c do
-      si.Heap.crossing.(c) <- off
-    done
-  in
   for i = 0 to nsegs - 1 do
     let seg = seg_map.(i) in
-    let si = Heap.info h seg in
     match spaces.(i) with
     | Space.Pair | Space.Weak | Space.Ephemeron ->
         if useds.(i) land 1 <> 0 then
           raise (Error "gbc-image: odd word count in a pair segment");
         let off = ref 0 in
         while !off < useds.(i) do
-          set_crossing si ~off:!off ~nwords:2;
+          Heap.record_crossing h ~seg ~off:!off ~nwords:2;
           off := !off + 2
         done
     | Space.Typed | Space.Data ->
@@ -430,7 +421,7 @@ let load_string ?config s =
           let size = 1 + Obj.header_len hdr in
           if size <= 0 || !off + size > useds.(i) then
             raise (Error "gbc-image: object overruns its segment");
-          set_crossing si ~off:!off ~nwords:size;
+          Heap.record_crossing h ~seg ~off:!off ~nwords:size;
           off := !off + size
         done
   done;

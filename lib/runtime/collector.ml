@@ -42,19 +42,17 @@ type outcome = {
    and its second word with the (tagged) new pointer word.  The smallest
    object is a pair (two words), so the two slots always exist. *)
 
-let forwarded t w =
-  (not (Word.is_pointer w))
-  || (not (info_of_word t w).condemned)
-  || Word.equal (load t (Word.addr w)) Word.forward_marker
-
-(** Forwarding address of [w], or [w] itself if it was never copied (older
-    generation, immediate).  Only meaningful when [forwarded t w]. *)
-let forward_address t w =
+(* The paper's [forwarded?] and [get-fwd-addr] in one: [w] itself for
+   immediates and pointers outside from-space, the new word of a copied
+   object, and [Word.forward_marker] for an object not (yet) copied.  The
+   marker is never a stored value (Verify rejects it), so it is a
+   non-allocating "not forwarded" answer. *)
+let resolve t w =
   if (not (Word.is_pointer w)) || not (info_of_word t w).condemned then w
-  else begin
-    assert (Word.equal (load t (Word.addr w)) Word.forward_marker);
-    load t (Word.addr w + 1)
-  end
+  else if Word.equal (load t (Word.addr w)) Word.forward_marker then load t (Word.addr w + 1)
+  else Word.forward_marker
+
+let forwarded t w = not (Word.equal (resolve t w) Word.forward_marker)
 
 (** Copy [w] to the target generation if it is a pointer into from-space not
     yet copied; returns the new word. *)
@@ -131,11 +129,14 @@ let push_dirty t seg =
     Vec.Int.push t.dirty seg
   end
 
-(* Sweep the words of [seg] in [from, to_) as strong references: rewrite
+(* Sweep the words of [seg] in [from, upto) as strong references: rewrite
    each traced slot through [copy] and note the referenced generations in
    the card table (which keeps min_ref_gen in sync).  Weak-space segments
-   trace only cdr fields. *)
-let sweep_range t ~target seg ~from ~upto =
+   trace only cdr fields.  [start] is the offset of the object covering
+   [from]: a dirty card can begin mid-object (the crossing map finds its
+   header), so typed fields are clamped to the range.  Pair cells never
+   straddle a card (cards are >= 8 words and a power of two). *)
+let sweep t ~target seg ~start ~from ~upto =
   let si = info t seg in
   let stats = (Heap.stats t).last in
   let fwd addr =
@@ -168,12 +169,11 @@ let sweep_range t ~target seg ~from ~upto =
         off := !off + 2
       done
   | Space.Typed ->
-      let off = ref from in
+      let off = ref start in
       while !off < upto do
-        let hdr = load t (addr_of ~seg ~off:!off) in
-        let len = Obj.header_len hdr in
-        for i = 1 to len do
-          fwd (addr_of ~seg ~off:(!off + i))
+        let len = Obj.header_len (load t (addr_of ~seg ~off:!off)) in
+        for i = max (!off + 1) from to min (!off + len) (upto - 1) do
+          fwd (addr_of ~seg ~off:i)
         done;
         off := !off + 1 + len
       done
@@ -191,30 +191,21 @@ let process_ephemerons t ~target =
   let progress = ref false in
   for i = 0 to n - 1 do
     let addr = Vec.Int.get pending i in
-    let key = load t addr in
-    let resolved_key =
-      if not (Word.is_pointer key) then Some key
-      else begin
-        let ksi = info_of_word t key in
-        if not ksi.condemned then Some key
-        else if Word.equal (load t (Word.addr key)) Word.forward_marker then
-          Some (load t (Word.addr key + 1))
-        else None
-      end
-    in
-    match resolved_key with
-    | Some key' ->
-        progress := true;
-        stats.ephemerons_scanned <- stats.ephemerons_scanned + 1;
-        store t addr key';
-        (* The key is reachable: the value is strong after all. *)
-        let v = copy t ~target (load t (addr + 1)) in
-        store t (addr + 1) v;
-        note_ref t ~addr ~gen:(ref_gen t key');
-        note_ref t ~addr:(addr + 1) ~gen:(ref_gen t v)
-    | None ->
-        Vec.Int.set pending !write addr;
-        incr write
+    let key = resolve t (load t addr) in
+    if Word.equal key Word.forward_marker then begin
+      Vec.Int.set pending !write addr;
+      incr write
+    end
+    else begin
+      progress := true;
+      stats.ephemerons_scanned <- stats.ephemerons_scanned + 1;
+      store t addr key;
+      (* The key is reachable: the value is strong after all. *)
+      let v = copy t ~target (load t (addr + 1)) in
+      store t (addr + 1) v;
+      note_ref t ~addr ~gen:(ref_gen t key);
+      note_ref t ~addr:(addr + 1) ~gen:(ref_gen t v)
+    end
   done;
   Vec.Int.truncate pending !write;
   !progress
@@ -248,7 +239,7 @@ let kleene_sweep t ~target =
       while si.live && si.scan < si.used do
         progress := true;
         let upto = si.used in
-        sweep_range t ~target seg ~from:si.scan ~upto;
+        sweep t ~target seg ~start:si.scan ~from:si.scan ~upto;
         si.scan <- upto
       done;
       incr i
@@ -328,7 +319,7 @@ let guardian_pass t ~g ~target =
         while not (Queue.is_empty work) do
           let e = Queue.pop work in
           let rep = copy t ~target e.rep in
-          let tc = forward_address t e.tconc in
+          let tc = resolve t e.tconc in
           Tconc.enqueue_with t
             ~alloc_pair:(fun a d ->
               let addr = gc_alloc t ~space:Space.Pair ~generation:target 2 in
@@ -375,11 +366,10 @@ let guardian_pass t ~g ~target =
   in
   List.iter
     (fun e ->
-      if forwarded t e.tconc then begin
-        protected_add_gen t ~generation:entry_generation ~gid:e.gid
-          ~obj:(forward_address t e.obj)
-          ~rep:(forward_address t e.rep)
-          ~tconc:(forward_address t e.tconc);
+      let tconc = resolve t e.tconc in
+      if not (Word.equal tconc Word.forward_marker) then begin
+        protected_add_gen t ~generation:entry_generation ~gid:e.gid ~obj:(resolve t e.obj)
+          ~rep:(resolve t e.rep) ~tconc;
         stats.guardian_entries_promoted <- stats.guardian_entries_promoted + 1
       end
       else begin
@@ -399,19 +389,15 @@ let process_weak_car t addr =
   stats.weak_pairs_scanned <- stats.weak_pairs_scanned + 1;
   let w = load t addr in
   if Word.is_pointer w then begin
-    let wsi = info_of_word t w in
-    if wsi.condemned then begin
-      if Word.equal (load t (Word.addr w)) Word.forward_marker then begin
-        let w' = load t (Word.addr w + 1) in
-        store t addr w';
-        note_ref t ~addr ~gen:(ref_gen t w')
-      end
-      else begin
-        store t addr Word.false_;
-        stats.weak_pointers_broken <- stats.weak_pointers_broken + 1
-      end
+    let w' = resolve t w in
+    if Word.equal w' Word.forward_marker then begin
+      store t addr Word.false_;
+      stats.weak_pointers_broken <- stats.weak_pointers_broken + 1
     end
-    else note_ref t ~addr ~gen:(ref_gen t w)
+    else begin
+      store t addr w';
+      note_ref t ~addr ~gen:(ref_gen t w')
+    end
   end
 
 let weak_pass t ~dirty_weak_cards =
@@ -434,58 +420,6 @@ let weak_pass t ~dirty_weak_cards =
 
 (* ------------------------------------------------------------------ *)
 (* Dirty (remembered-set) scan                                         *)
-
-(* Sweep one dirty card of a remembered segment: the words of [seg] in
-   [from, upto) — clamped to the slots that actually belong to the card —
-   as strong references.  Typed-space objects can straddle card
-   boundaries, so the scan starts from the object covering the card's
-   first word (the crossing map) and clamps the traced fields to the
-   card. *)
-let sweep_card t ~target seg ~from ~upto =
-  let si = info t seg in
-  let stats = (Heap.stats t).last in
-  let fwd addr =
-    let w = copy t ~target (load t addr) in
-    store t addr w;
-    note_ref t ~addr ~gen:(ref_gen t w)
-  in
-  (match si.space with
-  | Space.Pair ->
-      (* Cards are >= 8 words and a power of two: cells never straddle. *)
-      let off = ref from in
-      while !off < upto do
-        fwd (addr_of ~seg ~off:!off);
-        fwd (addr_of ~seg ~off:(!off + 1));
-        off := !off + 2
-      done
-  | Space.Weak ->
-      let off = ref from in
-      while !off < upto do
-        (* car is weak: left alone here, handled by the weak pass. *)
-        fwd (addr_of ~seg ~off:(!off + 1));
-        off := !off + 2
-      done
-  | Space.Ephemeron ->
-      let off = ref from in
-      while !off < upto do
-        Vec.Int.push t.gc_ephemerons (addr_of ~seg ~off:!off);
-        off := !off + 2
-      done
-  | Space.Typed ->
-      let off = ref (card_object_start t ~seg ~card:(card_of_off t from)) in
-      while !off < upto do
-        let hdr = load t (addr_of ~seg ~off:!off) in
-        let len = Obj.header_len hdr in
-        let lo = max (!off + 1) from in
-        let hi = min (!off + len) (upto - 1) in
-        for i = lo to hi do
-          fwd (addr_of ~seg ~off:i)
-        done;
-        off := !off + 1 + len
-      done
-  | Space.Data -> ());
-  stats.card_words_swept <- stats.card_words_swept + (upto - from);
-  stats.words_swept <- stats.words_swept + (upto - from)
 
 (* Sweep the remembered segments of generations older than [g] as roots —
    card-granularly: only cards recorded as possibly reaching into the
@@ -514,7 +448,8 @@ let dirty_scan t ~g ~target =
               Bytes.set_uint8 si.cards c card_clean;
               let from = c * cw in
               let upto = min si.used (from + cw) in
-              sweep_card t ~target seg ~from ~upto;
+              sweep t ~target seg ~start:(card_object_start t ~seg ~card:c) ~from ~upto;
+              stats.card_words_swept <- stats.card_words_swept + (upto - from);
               if si.space = Space.Weak then
                 weak_cards := (seg, from, upto) :: !weak_cards
             end
@@ -544,14 +479,8 @@ let root_scan t ~target =
 
 let weak_root_scan t =
   let lookup w =
-    if not (Word.is_pointer w) then Some w
-    else begin
-      let si = info_of_word t w in
-      if not si.condemned then Some w
-      else if Word.equal (load t (Word.addr w)) Word.forward_marker then
-        Some (load t (Word.addr w + 1))
-      else None
-    end
+    let w' = resolve t w in
+    if Word.equal w' Word.forward_marker then None else Some w'
   in
   iter_weak_scanners t ~f:(fun scan -> scan lookup)
 

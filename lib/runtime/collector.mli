@@ -14,19 +14,6 @@ type outcome = {
   duration_ns : float;
 }
 
-val forwarded : Heap.t -> Word.t -> bool
-(** True when the word needs no further copying: immediates, pointers into
-    generations not being collected, and already-copied objects. *)
-
-val forward_address : Heap.t -> Word.t -> Word.t
-(** New location of a forwarded word ([w] itself if it never moved).  Only
-    meaningful when [forwarded] holds. *)
-
-val copy : Heap.t -> target:int -> Word.t -> Word.t
-(** Copy the object to the target generation if it is an uncopied pointer
-    into from-space; returns the (possibly unchanged) word.  Collector
-    internal, exposed for tests. *)
-
 val collect : ?weak_pass_first:bool -> Heap.t -> gen:int -> outcome
 (** Run a collection of generations [0..gen].
 

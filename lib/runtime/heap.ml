@@ -371,6 +371,18 @@ let live_segments_of_gen t generation =
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
 
+(* Crossing map: every card whose first word falls inside the object at
+   [off] starts mid-object; record the object's offset so a card scan can
+   find the covering header.  The loop body runs only when the object
+   crosses a card boundary, so it is O(1) amortized per allocation. *)
+let record_crossing t ~seg ~off ~nwords =
+  let crossing = t.infos.(seg).crossing in
+  let first_c = (off + (1 lsl t.card_shift) - 1) lsr t.card_shift in
+  let last_c = (off + nwords - 1) lsr t.card_shift in
+  for c = first_c to last_c do
+    crossing.(c) <- off
+  done
+
 let bump t ~cursors ~space ~generation nwords =
   let idx = Space.to_index space in
   let cur = cursors.(idx) in
@@ -397,19 +409,11 @@ let bump t ~cursors ~space ~generation nwords =
   let si = t.infos.(seg) in
   let off = si.used in
   si.used <- si.used + nwords;
-  (* Crossing map: every card whose first word falls inside this object
-     starts mid-object; record the object's offset so a card scan can find
-     the covering header.  The loop body runs only when the allocation
-     crosses a card boundary, so it is O(1) amortized. *)
-  let first_c = (off + (1 lsl t.card_shift) - 1) lsr t.card_shift in
-  let last_c = (off + nwords - 1) lsr t.card_shift in
-  for c = first_c to last_c do
-    si.crossing.(c) <- off
-  done;
+  record_crossing t ~seg ~off ~nwords;
   addr_of ~seg ~off
 
-(** Mutator allocation: raw words in generation 0.  The caller initializes
-    the words; until then they read as fixnum 0. *)
+(** Mutator allocation: raw words in generation 0.  The words are
+    unspecified until the caller stores them. *)
 let alloc t ~space nwords =
   if t.alloc_forbidden then raise Allocation_forbidden;
   t.stats.words_allocated <- t.stats.words_allocated + nwords;

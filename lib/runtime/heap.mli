@@ -160,8 +160,10 @@ val live_segments_of_gen : t -> int -> Vec.Int.t
 (** {1 Allocation} *)
 
 val alloc : t -> space:Space.t -> int -> int
-(** Mutator allocation: raw words in generation 0, zero-initialized as
-    fixnum 0 until the caller fills them.  Never collects.
+(** Mutator allocation: raw words in generation 0.  Never collects.  The
+    words are unspecified until the caller stores them (segments recycled
+    from the free list are not cleared), and every word must be stored
+    before the next safepoint, when a collection may scan them.
     @raise Allocation_forbidden inside finalization thunks. *)
 
 val gc_alloc : t -> space:Space.t -> generation:int -> int -> int
@@ -207,6 +209,11 @@ val card_min_gen : t -> seg:int -> card:int -> int
 
 val card_object_start : t -> seg:int -> card:int -> int
 (** Offset of the object covering the card's first word (crossing map). *)
+
+val record_crossing : t -> seg:int -> off:int -> nwords:int -> unit
+(** Record an [nwords]-word object at offset [off] of [seg] in the
+    crossing map.  The allocator calls it for every object; a loader that
+    fills a segment wholesale calls it once per object. *)
 
 (** {1 Roots} *)
 

@@ -22,40 +22,62 @@ type error = { what : string; where : string }
 let errf errors what fmt =
   Format.kasprintf (fun where -> errors := { what; where } :: !errors) fmt
 
-(* Valid object-start offsets per segment, per the header/pair layout. *)
-let object_starts h seg =
-  let si = Heap.info h seg in
-  let starts = Hashtbl.create 16 in
-  (match si.Heap.space with
-  | Space.Pair | Space.Weak | Space.Ephemeron ->
-      let off = ref 0 in
-      while !off < si.Heap.used do
-        Hashtbl.replace starts !off ();
-        off := !off + 2
-      done
-  | Space.Typed | Space.Data ->
-      let off = ref 0 in
-      while !off < si.Heap.used do
-        Hashtbl.replace starts !off ();
-        let hdr = Heap.load h (Heap.addr_of ~seg ~off:!off) in
-        let len = if Word.is_fixnum hdr then Obj.header_len hdr else -1 in
-        if len < 0 then off := si.Heap.used (* malformed; reported elsewhere *)
-        else off := !off + 1 + len
-      done);
-  starts
-
 let verify h =
   let errors = ref [] in
-  let starts_cache = Hashtbl.create 16 in
-  let starts_of seg =
-    match Hashtbl.find_opt starts_cache seg with
-    | Some s -> s
-    | None ->
-        let s = object_starts h seg in
-        Hashtbl.add starts_cache seg s;
-        s
-  in
   let max_gen = Heap.max_generation h in
+  (* Pass 1: parse each live segment once, reporting structural errors and
+     marking object starts (one byte per word).  A malformed or overrunning
+     object is a start but ends the parse at [parsed.(seg)]. *)
+  let starts = Array.make h.Heap.nsegs Bytes.empty in
+  let parsed = Array.make h.Heap.nsegs 0 in
+  for seg = 0 to h.Heap.nsegs - 1 do
+    let si = Heap.info h seg in
+    if si.Heap.live then begin
+      if si.Heap.generation < 0 || si.Heap.generation > max_gen then
+        errf errors "segment generation out of range" "seg %d gen %d" seg si.Heap.generation;
+      if si.Heap.used > si.Heap.size then
+        errf errors "segment overfull" "seg %d used %d size %d" seg si.Heap.used si.Heap.size;
+      if si.Heap.condemned then errf errors "condemned segment outside collection" "seg %d" seg;
+      let used = si.Heap.used in
+      let b = Bytes.make used '\000' in
+      starts.(seg) <- b;
+      parsed.(seg) <- used;
+      let off = ref 0 in
+      let stop () =
+        parsed.(seg) <- !off;
+        off := used
+      in
+      match si.Heap.space with
+      | Space.Pair | Space.Weak | Space.Ephemeron ->
+          if used mod 2 <> 0 then
+            errf errors "odd used count in pair segment" "seg %d used %d" seg used;
+          while !off < used do
+            Bytes.set b !off '\001';
+            off := !off + 2
+          done
+      | Space.Typed | Space.Data ->
+          while !off < used do
+            Bytes.set b !off '\001';
+            let hdr = Heap.load h (Heap.addr_of ~seg ~off:!off) in
+            if not (Word.is_fixnum hdr) then begin
+              errf errors "malformed header" "seg %d off %d" seg !off;
+              stop ()
+            end
+            else begin
+              let len = Obj.header_len hdr and code = Obj.header_code hdr in
+              if !off + 1 + len > used then begin
+                errf errors "object overruns segment" "seg %d off %d len %d" seg !off len;
+                stop ()
+              end
+              else begin
+                if code > Obj.code_pad then
+                  errf errors "unknown type code" "seg %d off %d code %d" seg !off code;
+                off := !off + 1 + len
+              end
+            end
+          done
+    end
+  done;
   let check_pointer ~from_seg ~from_off ~slot w =
     if Word.is_pointer w then begin
       let addr = Word.addr w in
@@ -69,7 +91,7 @@ let verify h =
         else if off >= ti.Heap.used then
           errf errors "pointer past used area" "%s -> seg %d off %d used %d" slot seg off
             ti.Heap.used
-        else if not (Hashtbl.mem (starts_of seg) off) then
+        else if Bytes.get starts.(seg) off = '\000' then
           errf errors "pointer to object interior" "%s -> seg %d off %d" slot seg off
         else begin
           (match (Word.is_pair_ptr w, ti.Heap.space) with
@@ -99,60 +121,30 @@ let verify h =
     else if Word.equal w Word.forward_marker then
       errf errors "forwarding marker stored as a value" "%s" slot
   in
+  (* Pass 2: the traced slots of every recorded object.  The car of a weak
+     pair is weak but must still be a valid word; broken cars are #f. *)
   for seg = 0 to h.Heap.nsegs - 1 do
     let si = Heap.info h seg in
-    if si.Heap.live then begin
-      if si.Heap.generation < 0 || si.Heap.generation > max_gen then
-        errf errors "segment generation out of range" "seg %d gen %d" seg si.Heap.generation;
-      if si.Heap.used > si.Heap.size then
-        errf errors "segment overfull" "seg %d used %d size %d" seg si.Heap.used si.Heap.size;
-      if si.Heap.condemned then errf errors "condemned segment outside collection" "seg %d" seg;
-      match si.Heap.space with
-      | Space.Pair | Space.Weak | Space.Ephemeron ->
-          if si.Heap.used mod 2 <> 0 then
-            errf errors "odd used count in pair segment" "seg %d used %d" seg si.Heap.used;
-          let off = ref 0 in
-          while !off < si.Heap.used do
-            let addr = Heap.addr_of ~seg ~off:!off in
-            (* The car of a weak pair is weak but must still be a valid
-               word; broken cars are #f. *)
-            check_pointer ~from_seg:seg ~from_off:!off
-              ~slot:(Printf.sprintf "seg %d off %d car" seg !off)
-              (Heap.load h addr);
-            check_pointer ~from_seg:seg ~from_off:(!off + 1)
-              ~slot:(Printf.sprintf "seg %d off %d cdr" seg !off)
-              (Heap.load h (addr + 1));
-            off := !off + 2
-          done
-      | Space.Typed | Space.Data ->
-          let off = ref 0 in
-          while !off < si.Heap.used do
-            let addr = Heap.addr_of ~seg ~off:!off in
+    if si.Heap.live && si.Heap.space <> Space.Data then
+      for off = 0 to parsed.(seg) - 1 do
+        if Bytes.get starts.(seg) off <> '\000' then begin
+          let addr = Heap.addr_of ~seg ~off in
+          let check i slot =
+            check_pointer ~from_seg:seg ~from_off:(off + i) ~slot (Heap.load h (addr + i))
+          in
+          if si.Heap.space <> Space.Typed then begin
+            check 0 (Printf.sprintf "seg %d off %d car" seg off);
+            check 1 (Printf.sprintf "seg %d off %d cdr" seg off)
+          end
+          else begin
             let hdr = Heap.load h addr in
-            if not (Word.is_fixnum hdr) then begin
-              errf errors "malformed header" "seg %d off %d" seg !off;
-              off := si.Heap.used
-            end
-            else begin
-              let len = Obj.header_len hdr and code = Obj.header_code hdr in
-              if !off + 1 + len > si.Heap.used then begin
-                errf errors "object overruns segment" "seg %d off %d len %d" seg !off len;
-                off := si.Heap.used
-              end
-              else begin
-                if code > Obj.code_pad then
-                  errf errors "unknown type code" "seg %d off %d code %d" seg !off code;
-                (if si.Heap.space = Space.Typed && code <> Obj.code_pad then
-                   for i = 1 to len do
-                     check_pointer ~from_seg:seg ~from_off:(!off + i)
-                       ~slot:(Printf.sprintf "seg %d off %d field %d" seg !off (i - 1))
-                       (Heap.load h (addr + i))
-                   done);
-                off := !off + 1 + len
-              end
-            end
-          done
-    end
+            if Obj.header_code hdr <> Obj.code_pad then
+              for i = 1 to Obj.header_len hdr do
+                check i (Printf.sprintf "seg %d off %d field %d" seg off (i - 1))
+              done
+          end
+        end
+      done
   done;
   (* Protected lists. *)
   for gen = 0 to max_gen do

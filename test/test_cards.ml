@@ -157,14 +157,21 @@ let test_chained_guardians_pend_checks () =
 type op =
   | Alloc of int
   | Link of int * int  (* cdr of root a's pair := root b's pair *)
+  | Vlink of int * int  (* slot i of the long vector := root b's pair *)
   | Drop of int
   | Collect of int
 
 let nroots = 12
 
+(* The long vector spans several 8-word cards and sits behind a spacer
+   object, so its cards start mid-object: storing through its slots
+   drives the dirty scan's crossing-map lookup and field clamping. *)
+let vlen = 40
+
 let pp_op = function
   | Alloc i -> Printf.sprintf "Alloc(%d)" i
   | Link (a, b) -> Printf.sprintf "Link(%d,%d)" a b
+  | Vlink (i, b) -> Printf.sprintf "Vlink(%d,%d)" i b
   | Drop i -> Printf.sprintf "Drop(%d)" i
   | Collect g -> Printf.sprintf "Collect(%d)" g
 
@@ -175,6 +182,7 @@ let op_gen =
     [
       (4, map (fun i -> Alloc i) slot);
       (4, map2 (fun a b -> Link (a, b)) slot slot);
+      (3, map2 (fun i b -> Vlink (i, b)) (int_range 0 (vlen - 1)) slot);
       (2, map (fun i -> Drop i) slot);
       (3, map (fun g -> Collect g) (int_range 0 2));
     ]
@@ -195,13 +203,14 @@ let serialize h w =
   go 64 w;
   Buffer.contents buf
 
-let apply_op h roots ids = function
+let apply_op h roots vec ids = function
   | Alloc i ->
       Handle.set roots.(i) (Obj.cons h (fx !ids) Word.nil);
       incr ids
   | Link (a, b) ->
       let wa = Handle.get roots.(a) in
       if not (Word.equal wa Word.nil) then Obj.set_cdr h wa (Handle.get roots.(b))
+  | Vlink (i, b) -> Obj.vector_set h (Handle.get vec) i (Handle.get roots.(b))
   | Drop i -> Handle.set roots.(i) Word.nil
   | Collect g -> ignore (Collector.collect h ~gen:g)
 
@@ -225,6 +234,11 @@ let prop_no_lost_edges =
       in
       let roots_f = Array.init nroots (fun _ -> Handle.create fine Word.nil) in
       let roots_o = Array.init nroots (fun _ -> Handle.create oracle Word.nil) in
+      let long_vector h =
+        ignore (Handle.create h (Obj.make_vector h ~len:3 ~init:Word.nil));
+        Handle.create h (Obj.make_vector h ~len:vlen ~init:Word.nil)
+      in
+      let vec_f = long_vector fine and vec_o = long_vector oracle in
       let ids_f = ref 0 and ids_o = ref 0 in
       let compare_roots () =
         for i = 0 to nroots - 1 do
@@ -232,12 +246,18 @@ let prop_no_lost_edges =
           let so = serialize oracle (Handle.get roots_o.(i)) in
           if sf <> so then
             QCheck.Test.fail_reportf "root %d diverged: cards=%s oracle=%s" i sf so
+        done;
+        for i = 0 to vlen - 1 do
+          let sf = serialize fine (Obj.vector_ref fine (Handle.get vec_f) i) in
+          let so = serialize oracle (Obj.vector_ref oracle (Handle.get vec_o) i) in
+          if sf <> so then
+            QCheck.Test.fail_reportf "vector slot %d diverged: cards=%s oracle=%s" i sf so
         done
       in
       List.iter
         (fun op ->
-          apply_op fine roots_f ids_f op;
-          apply_op oracle roots_o ids_o op;
+          apply_op fine roots_f vec_f ids_f op;
+          apply_op oracle roots_o vec_o ids_o op;
           match op with Collect _ -> compare_roots () | _ -> ())
         ops;
       full_collect fine;

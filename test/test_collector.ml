@@ -189,6 +189,115 @@ let test_segment_reuse () =
   check "bounded segment count" true (Heap.live_segments h < 100)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned work counters                                                *)
+
+(* One fixed scenario touching every collector path that bumps a C1/C2
+   work counter: pairs, weak pairs, ephemerons and vectors; an old vector
+   straddling a dirty card; a weak car in a dirty old weak card; a
+   three-link guardian-of-guardian chain; and a guardian dropped while it
+   still holds registrations.  Every field of the lifetime totals is
+   pinned, so a refactor of the collector's inner loops that moves any
+   counter fails here. *)
+let pinned_scenario () =
+  let config = Config.v ~segment_words:256 ~max_generation:3 ~card_words:8 () in
+  let h = Heap.create ~config () in
+  let hd w = Handle.create h w in
+  let _spacer = hd (Obj.make_vector h ~len:3 ~init:(fx 0)) in
+  let vec = hd (Obj.make_vector h ~len:60 ~init:(fx 0)) in
+  let list = hd Word.nil in
+  for i = 0 to 19 do
+    Handle.set list (Obj.cons h (fx i) (Handle.get list))
+  done;
+  let weak = hd Word.nil in
+  for i = 0 to 5 do
+    Handle.set weak (Weak_pair.cons h (fx i) (Handle.get weak))
+  done;
+  (* Age the vectors, the list and the weak list into generation 2. *)
+  ignore (Collector.collect h ~gen:1);
+  ignore (Collector.collect h ~gen:1);
+  let v = Handle.get vec in
+  (* Young stores into two cards of the old vector, neither at the card
+     holding its header. *)
+  Obj.vector_set h v 10 (Obj.cons h (fx 100) Word.nil);
+  Obj.vector_set h v 50 (Obj.vector_of_list h [ fx 1; fx 2 ]);
+  (* Weak cars in a dirty old weak card: one young referent survives
+     through a strong root, the other dies. *)
+  let kept = hd (Obj.cons h (fx 200) Word.nil) in
+  let w0 = Handle.get weak in
+  Weak_pair.set_car h w0 (Handle.get kept);
+  Weak_pair.set_car h (Weak_pair.cdr h w0) (Obj.cons h (fx 201) Word.nil);
+  (* Ephemerons: one with a live key, one whose key dies. *)
+  let _eph_live = hd (Ephemeron.cons h (Handle.get kept) (Obj.cons h (fx 3) Word.nil)) in
+  let _eph_dead =
+    hd (Ephemeron.cons h (Obj.cons h (fx 4) Word.nil) (Obj.cons h (fx 5) Word.nil))
+  in
+  (* Guardian chain: root <- g1 <- g2 <- g3, with a dead object on g3. *)
+  let root = hd (Guardian.make h) in
+  let g1 = Guardian.make h in
+  Guardian.register h (Handle.get root) g1;
+  let g2 = Guardian.make h in
+  Guardian.register h g1 g2;
+  let g3 = Guardian.make h in
+  Guardian.register h g2 g3;
+  Guardian.register h g3 (Obj.cons h (fx 300) Word.nil);
+  (* A live registration that is promoted on every collection. *)
+  Guardian.register h (Handle.get root) (Handle.get kept);
+  (* A guardian dropped while holding one live and one dead registration. *)
+  let dropped = Guardian.make h in
+  Guardian.register h dropped (Handle.get kept);
+  Guardian.register h dropped (Obj.cons h (fx 400) Word.nil);
+  for i = 0 to 199 do
+    ignore (Obj.cons h (fx i) Word.nil)
+  done;
+  List.iter
+    (fun g ->
+      ignore (Collector.collect h ~gen:g);
+      Verify.check_exn h)
+    [ 0; 0; 1; 3 ];
+  (* Sanity: the scenario did what it says. *)
+  let v = Handle.get vec in
+  check_int "vector slot 10" 100 (Word.to_fixnum (Obj.car h (Obj.vector_ref h v 10)));
+  let chain = ref 0 in
+  let rec walk g =
+    match Guardian.retrieve h g with
+    | Some g' when Guardian.is_guardian h g' ->
+        incr chain;
+        walk g'
+    | _ -> ()
+  in
+  walk (Handle.get root);
+  check_int "chain retrieved" 3 !chain;
+  h
+
+let test_pinned_counters () =
+  let h = pinned_scenario () in
+  let t = (Heap.stats h).Stats.total in
+  List.iter
+    (fun (name, want, got) -> check_int name want got)
+    [
+      ("collections", 6, t.Stats.collections);
+      ("objects_copied", 121, t.Stats.objects_copied);
+      ("words_copied", 379, t.Stats.words_copied);
+      ("words_swept", 435, t.Stats.words_swept);
+      ("root_words", 40, t.Stats.root_words);
+      ("dirty_segments_scanned", 4, t.Stats.dirty_segments_scanned);
+      ("cards_scanned", 6, t.Stats.cards_scanned);
+      ("card_words_swept", 48, t.Stats.card_words_swept);
+      ("dirty_candidate_words", 154, t.Stats.dirty_candidate_words);
+      ("guardian_pend_checks", 8, t.Stats.guardian_pend_checks);
+      ("protected_entries_visited", 9, t.Stats.protected_entries_visited);
+      ("guardian_resurrections", 4, t.Stats.guardian_resurrections);
+      ("guardian_entries_promoted", 3, t.Stats.guardian_entries_promoted);
+      ("guardian_entries_dropped", 2, t.Stats.guardian_entries_dropped);
+      ("weak_pairs_scanned", 20, t.Stats.weak_pairs_scanned);
+      ("weak_pointers_broken", 1, t.Stats.weak_pointers_broken);
+      ("ephemerons_scanned", 6, t.Stats.ephemerons_scanned);
+      ("ephemerons_broken", 1, t.Stats.ephemerons_broken);
+      ("segments_freed", 16, t.Stats.segments_freed);
+      ("segments_allocated", 13, t.Stats.segments_allocated);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Random graph preservation                                           *)
 
 type shape =
@@ -315,6 +424,7 @@ let () =
           Alcotest.test_case "safepoint trigger" `Quick test_safepoint_triggers;
           Alcotest.test_case "collect-request handler" `Quick test_collect_request_handler;
           Alcotest.test_case "segment reuse" `Quick test_segment_reuse;
+          Alcotest.test_case "pinned work counters" `Quick test_pinned_counters;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

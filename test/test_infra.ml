@@ -82,6 +82,18 @@ let test_catches_stored_forward_marker () =
   check "marker caught" true
     (List.length (Verify.verify h) > 0)
 
+let test_checks_every_traced_slot () =
+  let h = heap () in
+  let v = Handle.create h (Obj.make_vector h ~len:4 ~init:Word.nil) in
+  let p = Handle.create h (Obj.cons h Word.nil Word.nil) in
+  let interior = Word.typed_ptr (Word.addr (Handle.get v) + 2) in
+  (* The vector's last field and the pair's cdr, stored raw. *)
+  Heap.store h (Word.addr (Handle.get v) + 4) interior;
+  Heap.store h (Word.addr (Handle.get p) + 1) interior;
+  check_int "both slots reported" 2
+    (List.length
+       (List.filter (fun e -> e.Verify.what = "pointer to object interior") (Verify.verify h)))
+
 (* --- telemetry ring --------------------------------------------------- *)
 
 let traced_heap () =
@@ -252,6 +264,7 @@ let () =
             test_catches_remembered_set_violation;
           Alcotest.test_case "smashed header" `Quick test_catches_smashed_header;
           Alcotest.test_case "stored marker" `Quick test_catches_stored_forward_marker;
+          Alcotest.test_case "every traced slot" `Quick test_checks_every_traced_slot;
         ] );
       ( "trace",
         [
