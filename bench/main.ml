@@ -796,8 +796,8 @@ let e_image () =
   section "E16  heap images: save/load throughput, size, cold start";
   print_endline
     "  A gbc-image/1 save serializes every live segment with pointers\n\
-    \  rewritten to a canonical numbering; a load rebuilds a fresh heap and\n\
-    \  relocates back.  Throughput is for in-memory bytes (no disk in the\n\
+    \  rewritten to a canonical numbering; a load rebuilds a fresh heap in\n\
+    \  that numbering.  Throughput is for in-memory bytes (no disk in the\n\
     \  timed region).";
   let best_of n f =
     let r0, us0 = time_once f in

@@ -311,125 +311,89 @@ let load_string ?config s =
      injection; the config's seed is re-armed below, once the heap is
      whole. *)
   (Heap.faults h).Heap.fail_segment_alloc_at <- 0;
+  (* Acquire the segments of a fresh heap in image order as the table is
+     read.  A fresh heap hands out ids 0..n-1 in order, so the image
+     numbering is the heap's own and no pointer needs rewriting. *)
   let nsegs = ru32 r in
-  let spaces = Array.make (max 1 nsegs) Space.Pair in
-  let gens = Array.make (max 1 nsegs) 0 in
-  let useds = Array.make (max 1 nsegs) 0 in
-  let sizes = Array.make (max 1 nsegs) 0 in
-  let larges = Array.make (max 1 nsegs) false in
   for i = 0 to nsegs - 1 do
     let sp = ru8 r in
     if sp >= Space.count then
       raise (Error "gbc-image: bad space in the segment table");
-    spaces.(i) <- Space.of_index sp;
-    let g = ru32 r in
-    if g > max_generation then
+    let generation = ru32 r in
+    if generation > max_generation then
       raise (Error "gbc-image: bad generation in the segment table");
-    gens.(i) <- g;
-    useds.(i) <- ru32 r;
-    sizes.(i) <- ru32 r;
-    larges.(i) <- ru8 r <> 0;
+    let used = ru32 r in
+    let size = ru32 r in
+    let large = ru8 r <> 0 in
     let consistent =
-      useds.(i) <= sizes.(i)
-      && sizes.(i) <= Heap.max_segment_words
-      &&
-      if larges.(i) then sizes.(i) > segment_words
-      else sizes.(i) = segment_words
+      used <= size
+      && size <= Heap.max_segment_words
+      && if large then size > segment_words else size = segment_words
     in
     if not consistent then
-      raise (Error "gbc-image: inconsistent segment table")
+      raise (Error "gbc-image: inconsistent segment table");
+    let seg =
+      try
+        Heap.acquire_segment h ~space:(Space.of_index sp) ~generation
+          ~min_words:(if large then size else 1)
+      with Heap.Out_of_memory ->
+        raise
+          (Error
+             "gbc-image: image does not fit under the configured \
+              max_heap_words")
+    in
+    assert (seg = i);
+    (Heap.info h seg).Heap.used <- used
   done;
-  (* Pass 1: acquire the segments of a fresh heap in image order (so the
-     image numbering maps to ids 0..n-1) and copy the contents raw. *)
-  let seg_map = Array.make (max 1 nsegs) (-1) in
-  (try
-     for i = 0 to nsegs - 1 do
-       let min_words = if larges.(i) then sizes.(i) else 1 in
-       let seg =
-         Heap.acquire_segment h ~space:spaces.(i) ~generation:gens.(i)
-           ~min_words
-       in
-       seg_map.(i) <- seg;
-       (Heap.info h seg).Heap.used <- useds.(i)
-     done
-   with Heap.Out_of_memory ->
-     raise
-       (Error
-          "gbc-image: image does not fit under the configured \
-           max_heap_words"));
-  let total_words = ref 0 in
-  for i = 0 to nsegs - 1 do
-    let arr = h.Heap.segs.(seg_map.(i)) in
-    need r (8 * useds.(i));
-    for off = 0 to useds.(i) - 1 do
-      arr.(off) <- Int64.to_int (String.get_int64_le r.buf r.pos);
-      r.pos <- r.pos + 8
-    done;
-    total_words := !total_words + useds.(i)
-  done;
+  (* Every pointer read from the image must land inside a restored
+     segment's used words. *)
   let fix w =
-    if not (Word.is_pointer w) then w
-    else begin
-      let a = Word.addr w in
-      let iseg = Heap.seg_of_addr a in
-      let off = Heap.off_of_addr a in
-      if iseg < 0 || iseg >= nsegs || off >= useds.(iseg) then
-        raise (Error "gbc-image: relocation target out of range");
-      Word.with_addr w (Heap.addr_of ~seg:seg_map.(iseg) ~off)
-    end
+    (if Word.is_pointer w then
+       let a = Word.addr w in
+       let seg = Heap.seg_of_addr a in
+       if
+         seg < 0 || seg >= nsegs
+         || Heap.off_of_addr a >= (Heap.info h seg).Heap.used
+       then
+         raise (Error "gbc-image: relocation target out of range"));
+    w
   in
-  (* Pass 2: fix up every pointer slot through the segment map and
-     re-derive the remembered set while we are at it (headers are
-     fixnums, so a blanket pointer sweep visits exactly the slots;
-     Data-space segments hold no pointers and raw payloads stay
-     untouched). *)
-  for i = 0 to nsegs - 1 do
-    if spaces.(i) <> Space.Data then begin
-      let seg = seg_map.(i) in
-      let arr = h.Heap.segs.(seg) in
-      for off = 0 to useds.(i) - 1 do
-        let w = arr.(off) in
-        if Word.is_pointer w then begin
-          let w' = fix w in
-          arr.(off) <- w';
-          Heap.note_ref h
-            ~addr:(Heap.addr_of ~seg ~off)
-            ~gen:(Heap.generation_of_word h w')
-        end
-      done
-    end
-  done;
-  (* Replay the allocator's crossing-map maintenance object by object. *)
-  for i = 0 to nsegs - 1 do
-    let seg = seg_map.(i) in
-    match spaces.(i) with
-    | Space.Pair | Space.Weak | Space.Ephemeron ->
-        if useds.(i) land 1 <> 0 then
-          raise (Error "gbc-image: odd word count in a pair segment");
-        let off = ref 0 in
-        while !off < useds.(i) do
-          Heap.record_crossing h ~seg ~off:!off ~nwords:2;
-          off := !off + 2
-        done
-    | Space.Typed | Space.Data ->
-        let arr = h.Heap.segs.(seg) in
-        let off = ref 0 in
-        while !off < useds.(i) do
-          let hdr = arr.(!off) in
-          if not (Word.is_fixnum hdr) then
-            raise (Error "gbc-image: bad object header in a typed segment");
-          let size = 1 + Obj.header_len hdr in
-          if size <= 0 || !off + size > useds.(i) then
-            raise (Error "gbc-image: object overruns its segment");
-          Heap.record_crossing h ~seg ~off:!off ~nwords:size;
-          off := !off + size
-        done
+  (* One pass per segment: copy the contents, re-derive the remembered set
+     over every pointer slot (headers are fixnums, so a blanket pointer
+     sweep visits exactly the slots; Data-space words are raw payloads and
+     stay unexamined), and replay the allocator's crossing-map maintenance
+     object by object. *)
+  let total_words = ref 0 in
+  for seg = 0 to nsegs - 1 do
+    let arr = h.Heap.segs.(seg) and si = Heap.info h seg in
+    let data = si.Heap.space = Space.Data in
+    need r (8 * si.Heap.used);
+    for off = 0 to si.Heap.used - 1 do
+      let w = Int64.to_int (String.get_int64_le r.buf r.pos) in
+      r.pos <- r.pos + 8;
+      arr.(off) <- w;
+      if (not data) && Word.is_pointer w then
+        Heap.note_ref h
+          ~addr:(Heap.addr_of ~seg ~off)
+          ~gen:(Heap.generation_of_word h (fix w))
+    done;
+    total_words := !total_words + si.Heap.used;
+    match
+      Obj.iter_objects h seg ~f:(fun off nwords ->
+          Heap.record_crossing h ~seg ~off ~nwords)
+    with
+    | None -> ()
+    | Some (_, Obj.Odd_cell_count) ->
+        raise (Error "gbc-image: odd word count in a pair segment")
+    | Some (_, Obj.Malformed_header) ->
+        raise (Error "gbc-image: bad object header in a typed segment")
+    | Some (_, Obj.Overrun) ->
+        raise (Error "gbc-image: object overruns its segment")
   done;
   for k = 0 to Space.count - 1 do
     let idx = ri64 r in
     if idx >= nsegs then raise (Error "gbc-image: bad allocation cursor");
-    h.Heap.mutator_cursors.(k).Heap.seg <-
-      (if idx < 0 then -1 else seg_map.(idx))
+    h.Heap.mutator_cursors.(k).Heap.seg <- (if idx < 0 then -1 else idx)
   done;
   let nglobals = ru32 r in
   let cells = ref h.Heap.global_cells in

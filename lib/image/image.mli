@@ -6,9 +6,11 @@
     allocation cursors, the global root cells, the per-generation
     guardian protected lists, plus caller-supplied named sections — the
     symbol table of a Scheme system, compiled code, whatever rides along.
-    Loading rebuilds a {e fresh} heap in two passes (copy, then pointer
-    fix-up through an image-segment → new-segment table), replays the
-    card crossing map, reconstructs the remembered set exactly, and
+    Loading acquires the segments of a {e fresh} heap in image order, so
+    the image addressing is the heap's own and words are copied as they
+    are; in the same pass per segment it range-checks every pointer,
+    reconstructs the remembered set exactly and parses the objects once
+    ({!Obj.iter_objects}) to replay the card crossing map.  It then
     re-runs the {!Verify} invariant checker before handing the heap back
     (see [Config.image_verify_on_load]).
 
@@ -46,8 +48,9 @@ exception Error of string
 
 type extra = {
   xwords : Word.t array;
-      (** heap words; relocated by the writer and the reader like any
-          heap slot, so they come back pointing into the restored heap *)
+      (** heap words; relocated by the writer and range-checked by the
+          reader like any heap slot, so they come back pointing into the
+          restored heap *)
   xbytes : string;  (** opaque payload, stored verbatim *)
 }
 (** A named section a client layers on top of the heap image (the Scheme

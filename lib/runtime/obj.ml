@@ -52,6 +52,40 @@ let header_len h = Word.to_fixnum h lsr 8
 let header_code h = Word.to_fixnum h land 0xff
 
 (* ------------------------------------------------------------------ *)
+(* Segment parse                                                       *)
+
+type defect = Odd_cell_count | Malformed_header | Overrun
+
+(* The one reader of the segment layout outside the collector's sweep and
+   the allocator: pair-space segments are two-word cells, typed and data
+   segments a run of header-prefixed objects. *)
+let iter_objects h seg ~f =
+  let si = Heap.info h seg in
+  let used = si.Heap.used in
+  match si.Heap.space with
+  | Space.Pair | Space.Weak | Space.Ephemeron ->
+      for cell = 0 to (used / 2) - 1 do
+        f (2 * cell) 2
+      done;
+      if used land 1 = 1 then Some (used - 1, Odd_cell_count) else None
+  | Space.Typed | Space.Data ->
+      let words = h.Heap.segs.(seg) in
+      let rec go off =
+        if off >= used then None
+        else
+          let hdr = words.(off) in
+          if not (Word.is_fixnum hdr) then Some (off, Malformed_header)
+          else
+            let nwords = 1 + header_len hdr in
+            if off + nwords > used then Some (off, Overrun)
+            else begin
+              f off nwords;
+              go (off + nwords)
+            end
+      in
+      go 0
+
+(* ------------------------------------------------------------------ *)
 (* Pairs                                                               *)
 
 let cons h a d =

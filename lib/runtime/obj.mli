@@ -34,6 +34,21 @@ val header : len:int -> code:int -> Word.t
 val header_len : Word.t -> int
 val header_code : Word.t -> int
 
+(** {1 Segment parse} *)
+
+type defect =
+  | Odd_cell_count  (** a pair-space segment ends in half a cell *)
+  | Malformed_header  (** a typed or data object's header is not a fixnum *)
+  | Overrun  (** an object extends past the segment's used words *)
+
+val iter_objects :
+  Heap.t -> int -> f:(int -> int -> unit) -> (int * defect) option
+(** [iter_objects h seg ~f] parses the used words of segment [seg] and
+    calls [f off nwords] for each object, in address order (header
+    included; pair cells are two words).  The first defect ends the parse:
+    its offset and kind are returned, [None] if the segment parses whole.
+    Type codes are not checked. *)
+
 (** {1 Pairs} *)
 
 val cons : Heap.t -> Word.t -> Word.t -> Word.t

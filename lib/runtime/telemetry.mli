@@ -31,7 +31,7 @@ type phase =
       (** weak-scanner notification, dirty-list rebuild, freeing from-space *)
   | Image_save  (** serializing the heap to a [gbc-image/1] byte string *)
   | Image_load
-      (** rebuilding a heap from an image: copy, relocate, re-verify *)
+      (** rebuilding a heap from an image: copy, parse, re-verify *)
 
 val phase_count : int
 val all_phases : phase list

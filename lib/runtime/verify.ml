@@ -5,8 +5,9 @@
     Checked invariants:
     - segment table: live segments have sane sizes, generations and used
       counts; pair/weak segments hold whole two-word cells;
-    - object parse: typed/data segments parse as a sequence of well-formed
-      headers covering exactly [used] words;
+    - object parse ({!Obj.iter_objects}): typed/data segments parse as a
+      sequence of well-formed headers with known type codes covering
+      exactly [used] words;
     - pointers: every pointer field points into a live segment, at a valid
       object start, and never at a forwarding marker outside a collection;
     - spaces: weak pairs live only in weak space; headers only in
@@ -14,6 +15,9 @@
     - remembered set: a pointer from an older into a younger generation is
       covered by the segment's [min_ref_gen] AND by the byte of the card
       holding the pointer slot (card-granular precision);
+    - crossing map: every used card of a typed segment names an object
+      start at or before the card's first word (the dirty scan parses
+      typed cards from there);
     - protected lists: entries of generation [i]'s list reference objects
       and tconcs in generations [>= i] (or immediates). *)
 
@@ -25,9 +29,9 @@ let errf errors what fmt =
 let verify h =
   let errors = ref [] in
   let max_gen = Heap.max_generation h in
-  (* Pass 1: parse each live segment once, reporting structural errors and
-     marking object starts (one byte per word).  A malformed or overrunning
-     object is a start but ends the parse at [parsed.(seg)]. *)
+  (* Pass 1: parse each live segment once ({!Obj.iter_objects}), reporting
+     structural errors and marking object starts (one byte per word).  A
+     defect is marked as a start but ends the parse at [parsed.(seg)]. *)
   let starts = Array.make h.Heap.nsegs Bytes.empty in
   let parsed = Array.make h.Heap.nsegs 0 in
   for seg = 0 to h.Heap.nsegs - 1 do
@@ -41,110 +45,91 @@ let verify h =
       let used = si.Heap.used in
       let b = Bytes.make used '\000' in
       starts.(seg) <- b;
-      parsed.(seg) <- used;
-      let off = ref 0 in
-      let stop () =
-        parsed.(seg) <- !off;
-        off := used
+      let typed = si.Heap.space = Space.Typed || si.Heap.space = Space.Data in
+      let words = h.Heap.segs.(seg) in
+      let defect =
+        Obj.iter_objects h seg ~f:(fun off _ ->
+            Bytes.set b off '\001';
+            if typed && Obj.header_code words.(off) > Obj.code_pad then
+              errf errors "unknown type code" "seg %d off %d code %d" seg off
+                (Obj.header_code words.(off)))
       in
-      match si.Heap.space with
-      | Space.Pair | Space.Weak | Space.Ephemeron ->
-          if used mod 2 <> 0 then
-            errf errors "odd used count in pair segment" "seg %d used %d" seg used;
-          while !off < used do
-            Bytes.set b !off '\001';
-            off := !off + 2
-          done
-      | Space.Typed | Space.Data ->
-          while !off < used do
-            Bytes.set b !off '\001';
-            let hdr = Heap.load h (Heap.addr_of ~seg ~off:!off) in
-            if not (Word.is_fixnum hdr) then begin
-              errf errors "malformed header" "seg %d off %d" seg !off;
-              stop ()
-            end
-            else begin
-              let len = Obj.header_len hdr and code = Obj.header_code hdr in
-              if !off + 1 + len > used then begin
-                errf errors "object overruns segment" "seg %d off %d len %d" seg !off len;
-                stop ()
-              end
-              else begin
-                if code > Obj.code_pad then
-                  errf errors "unknown type code" "seg %d off %d code %d" seg !off code;
-                off := !off + 1 + len
-              end
-            end
-          done
+      parsed.(seg) <-
+        (match defect with
+        | None -> used
+        | Some (off, d) ->
+            Bytes.set b off '\001';
+            (match d with
+            | Obj.Odd_cell_count ->
+                errf errors "odd used count in pair segment" "seg %d used %d" seg used
+            | Obj.Malformed_header -> errf errors "malformed header" "seg %d off %d" seg off
+            | Obj.Overrun ->
+                errf errors "object overruns segment" "seg %d off %d len %d" seg off
+                  (Obj.header_len words.(off)));
+            off)
     end
   done;
-  let check_pointer ~from_seg ~from_off ~slot w =
+  (* Every word of a pointer-bearing segment is a slot or a header, and
+     headers are fixnums: checking each parsed word as a value is checking
+     every traced slot.  The car of a weak pair is weak but must still be a
+     valid word; broken cars are #f.  [where] names the slot and its
+     target, and is formatted only for an error. *)
+  let bad what seg off tseg toff =
+    errf errors what "seg %d off %d -> seg %d off %d" seg off tseg toff
+  in
+  let check_slot seg off w =
     if Word.is_pointer w then begin
-      let addr = Word.addr w in
-      let seg = Heap.seg_of_addr addr in
-      let off = Heap.off_of_addr addr in
-      if seg < 0 || seg >= h.Heap.nsegs then
-        errf errors "pointer to unknown segment" "%s -> seg %d" slot seg
+      let tseg = Heap.seg_of_addr (Word.addr w) and toff = Heap.off_of_addr (Word.addr w) in
+      if tseg < 0 || tseg >= h.Heap.nsegs then
+        bad "pointer to unknown segment" seg off tseg toff
       else begin
-        let ti = Heap.info h seg in
-        if not ti.Heap.live then errf errors "pointer into freed segment" "%s" slot
-        else if off >= ti.Heap.used then
-          errf errors "pointer past used area" "%s -> seg %d off %d used %d" slot seg off
-            ti.Heap.used
-        else if Bytes.get starts.(seg) off = '\000' then
-          errf errors "pointer to object interior" "%s -> seg %d off %d" slot seg off
+        let ti = Heap.info h tseg in
+        if not ti.Heap.live then bad "pointer into freed segment" seg off tseg toff
+        else if toff >= ti.Heap.used then bad "pointer past used area" seg off tseg toff
+        else if Bytes.get starts.(tseg) toff = '\000' then
+          bad "pointer to object interior" seg off tseg toff
         else begin
-          (match (Word.is_pair_ptr w, ti.Heap.space) with
-          | true, (Space.Pair | Space.Weak | Space.Ephemeron) -> ()
-          | true, _ -> errf errors "pair pointer into non-pair space" "%s" slot
-          | false, (Space.Typed | Space.Data) -> ()
-          | false, _ -> errf errors "typed pointer into pair space" "%s" slot);
-          if Word.equal (Heap.load h addr) Word.forward_marker then
-            errf errors "pointer at forwarding marker outside collection" "%s" slot;
+          let pair_space = ti.Heap.space <> Space.Typed && ti.Heap.space <> Space.Data in
+          if Word.is_pair_ptr w && not pair_space then
+            bad "pair pointer into non-pair space" seg off tseg toff
+          else if pair_space && not (Word.is_pair_ptr w) then
+            bad "typed pointer into pair space" seg off tseg toff;
+          if Word.equal (Heap.load h (Word.addr w)) Word.forward_marker then
+            bad "pointer at forwarding marker outside collection" seg off tseg toff;
           (* Remembered-set invariant, at both granularities. *)
-          let fi = Heap.info h from_seg in
-          if ti.Heap.generation < fi.Heap.generation then begin
-            if ti.Heap.generation < fi.Heap.min_ref_gen then
-              errf errors "old-to-young pointer not remembered"
-                "%s: seg %d gen %d min_ref %d -> gen %d" slot from_seg fi.Heap.generation
-                fi.Heap.min_ref_gen ti.Heap.generation;
-            let card = Heap.card_of_off h from_off in
-            let cg = Heap.card_min_gen h ~seg:from_seg ~card in
-            if ti.Heap.generation < cg then
-              errf errors "old-to-young pointer's card not marked"
-                "%s: seg %d card %d byte %d -> gen %d" slot from_seg card cg
-                ti.Heap.generation
+          let fi = Heap.info h seg and tgen = ti.Heap.generation in
+          if tgen < fi.Heap.generation then begin
+            if tgen < fi.Heap.min_ref_gen then
+              bad "old-to-young pointer not remembered" seg off tseg toff;
+            if tgen < Heap.card_min_gen h ~seg ~card:(Heap.card_of_off h off) then
+              bad "old-to-young pointer's card not marked" seg off tseg toff
           end
         end
       end
     end
     else if Word.equal w Word.forward_marker then
-      errf errors "forwarding marker stored as a value" "%s" slot
+      errf errors "forwarding marker stored as a value" "seg %d off %d" seg off
   in
-  (* Pass 2: the traced slots of every recorded object.  The car of a weak
-     pair is weak but must still be a valid word; broken cars are #f. *)
+  (* Pass 2: every parsed word of the pointer-bearing segments, and the
+     crossing map the dirty scan parses typed cards from. *)
+  let card_shift = Heap.card_shift h in
   for seg = 0 to h.Heap.nsegs - 1 do
     let si = Heap.info h seg in
-    if si.Heap.live && si.Heap.space <> Space.Data then
+    if si.Heap.live && si.Heap.space <> Space.Data then begin
+      let words = h.Heap.segs.(seg) in
       for off = 0 to parsed.(seg) - 1 do
-        if Bytes.get starts.(seg) off <> '\000' then begin
-          let addr = Heap.addr_of ~seg ~off in
-          let check i slot =
-            check_pointer ~from_seg:seg ~from_off:(off + i) ~slot (Heap.load h (addr + i))
-          in
-          if si.Heap.space <> Space.Typed then begin
-            check 0 (Printf.sprintf "seg %d off %d car" seg off);
-            check 1 (Printf.sprintf "seg %d off %d cdr" seg off)
-          end
-          else begin
-            let hdr = Heap.load h addr in
-            if Obj.header_code hdr <> Obj.code_pad then
-              for i = 1 to Obj.header_len hdr do
-                check i (Printf.sprintf "seg %d off %d field %d" seg off (i - 1))
-              done
-          end
-        end
-      done
+        check_slot seg off words.(off)
+      done;
+      if si.Heap.space = Space.Typed then
+        for card = 0 to ((parsed.(seg) + (1 lsl card_shift) - 1) lsr card_shift) - 1 do
+          let start = Heap.card_object_start h ~seg ~card in
+          if start < 0 || start > card lsl card_shift || start >= parsed.(seg)
+             || Bytes.get starts.(seg) start = '\000'
+          then
+            errf errors "crossing-map entry is not an object start at or before its card"
+              "seg %d card %d -> off %d" seg card start
+        done
+    end
   done;
   (* Protected lists. *)
   for gen = 0 to max_gen do

@@ -201,8 +201,8 @@ let collect t ~roots ~gen:g ~target =
      protected list (or stay on generation 0 under the D1 ablation) — in
      the collector's order: pend-hold is built by prepending, then walked. *)
   let entry_gen = if t.gff then target else 0 in
-  let promoted =
-    List.filter (fun e -> participates e.e_guardian) !pend_hold
+  let promoted, dropped =
+    List.partition (fun e -> participates e.e_guardian) !pend_hold
   in
   t.protected.(entry_gen) <- t.protected.(entry_gen) @ promoted;
   (* Weak pass (after the guardian pass, so guardian-saved referents
@@ -230,4 +230,5 @@ let collect t ~roots ~gen:g ~target =
     let nd = t.nodes.(id) in
     if nd.alive && nd.gen <= g then
       if reached.(id) then nd.gen <- target else nd.alive <- false
-  done
+  done;
+  List.map (fun e -> e.e_rep) dropped

@@ -75,8 +75,11 @@ val remove_pending : t -> guardian:int -> f:(value -> bool) -> bool
 (** Remove the first pending element satisfying [f]; [false] if none
     does.  Mirrors one {!Guardian.retrieve}. *)
 
-val collect : t -> roots:int list -> gen:int -> target:int -> unit
+val collect : t -> roots:int list -> gen:int -> target:int -> value list
 (** Model a collection of generations [0..gen] promoting survivors to
     [target]: trace from [roots] plus every older node, run the guardian
     partition/resurrection and the ephemeron fixpoint, break weak cars and
-    dead-key ephemerons, kill unreached young nodes, promote the rest. *)
+    dead-key ephemerons, kill unreached young nodes, promote the rest.
+    Returns the reps of the held entries dropped with their guardian: the
+    partition kept each one alive, whether or not anything else still
+    references it. *)

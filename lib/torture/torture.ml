@@ -215,6 +215,8 @@ let compare_all st ~gen:_ =
     end
   done
 
+let max_gen st = Heap.max_generation st.h
+
 let do_collect st gen =
   let roots = Array.to_list (rooted_ids st) in
   st.collections <- st.collections + 1;
@@ -225,13 +227,25 @@ let do_collect st gen =
   | { Verify.what; where } :: rest ->
       failf "verify: %s (%s)%s" what where
         (if rest = [] then "" else Printf.sprintf " and %d more" (List.length rest)));
-  Oracle.collect st.o ~roots ~gen ~target:outcome.Collector.target;
+  let dropped_reps = Oracle.collect st.o ~roots ~gen ~target:outcome.Collector.target in
+  (* After a full collection everything allocated must be reachable: the
+     census (an independent mark-style traversal) accounts for every word.
+     Its roots are the heap's plus the reps the oracle says the guardian
+     partition kept for entries whose guardian then died. *)
+  if gen = max_gen st then begin
+    let reps = List.map (word_of st) dropped_reps in
+    let id = Heap.add_scanner st.h (fun f -> List.iter (fun w -> ignore (f w)) reps) in
+    let slack =
+      Fun.protect
+        ~finally:(fun () -> Heap.remove_scanner st.h id)
+        (fun () -> Census.slack (Census.run st.h))
+    in
+    if slack <> 0 then failf "census: %d unreachable words survived a full collection" slack
+  end;
   compare_all st ~gen
 
 (* ------------------------------------------------------------------ *)
 (* Op interpretation                                                   *)
-
-let max_gen st = Heap.max_generation st.h
 
 (* Collection targets skew young, like real schedules do. *)
 let collect_gen st sel =

@@ -10,7 +10,9 @@
     After {e every} collection the harness runs the {!Verify} invariant
     checker and compares the heap against the {!Oracle} semispace model:
     per-object liveness, structure, weak/ephemeron breaking, guardian
-    pending queues (as multisets) and generation placement.
+    pending queues (as multisets) and generation placement.  After every
+    full collection the {!Census} must also account for every allocated
+    word.
 
     A run is split into {e episodes}: each episode replays part of the op
     budget against a fresh heap under a seed-chosen configuration profile,

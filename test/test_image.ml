@@ -456,6 +456,67 @@ let test_ceiling_too_small_rejected () =
         ~config:(Config.v ~segment_words:128 ~max_generation:3 ~max_heap_words:128 ())
         s)
 
+(* Structural damage behind a valid CRC: patch the payload, then recompute
+   the trailer, so the loader's own checks must catch it.  The payload
+   opens with 52 bytes of scalars, the segment count and one 14-byte row
+   per segment (space u8, generation, used, size, large), then the
+   segment contents.  [seg s space] is (row, used, contents) of the first
+   segment of [space]. *)
+let seg s space =
+  let table = 20 + 52 in
+  let rec go i words =
+    let row = table + 4 + (14 * i) in
+    let used = Int32.to_int (String.get_int32_le s (row + 5)) in
+    if Space.of_index (Char.code s.[row]) = space then (row, used, words)
+    else go (i + 1) (words + (8 * used))
+  in
+  go 0 (table + 4 + (14 * Int32.to_int (String.get_int32_le s table)))
+
+let reseal b =
+  let plen = Bytes.length b - 24 in
+  Bytes.set_int64_le b 12 (Int64.of_int plen);
+  let crc = Image.crc32 (Bytes.unsafe_to_string b) ~pos:20 ~len:plen in
+  Bytes.set_int32_le b (20 + plen) (Int32.of_int crc);
+  Bytes.to_string b
+
+let set_word s pos w =
+  let b = Bytes.of_string s in
+  Bytes.set_int64_le b pos (Int64.of_int w);
+  reseal b
+
+let test_bad_structure_rejected () =
+  let h = heap () in
+  ignore (Handle.create h (Obj.make_vector h ~len:3 ~init:(Obj.cons h (fx 1) Word.nil)));
+  let s = Image.save_string h in
+  let _, _, typed = seg s Space.Typed and prow, pused, pairs = seg s Space.Pair in
+  (* Drop the pair segment's last word and shrink its used count. *)
+  let cut = pairs + (8 * (pused - 1)) in
+  let odd =
+    Bytes.of_string (String.sub s 0 cut ^ String.sub s (cut + 8) (String.length s - cut - 8))
+  in
+  Bytes.set_int32_le odd (prow + 5) (Int32.of_int (pused - 1));
+  let missing = Word.pair_ptr (Heap.addr_of ~seg:1000 ~off:0) in
+  List.iter
+    (fun verify ->
+      let config =
+        Config.v ~segment_words:128 ~max_generation:3 ~image_verify_on_load:verify ()
+      in
+      ignore (Image.load_string ~config s);
+      List.iter
+        (fun (img, expect) ->
+          match Image.load_string ~config img with
+          | _ -> Alcotest.failf "%s (verify %b): accepted" expect verify
+          | exception Image.Error msg ->
+              if not (contains_sub msg expect) then
+                Alcotest.failf "%s (verify %b): wrong check fired: %s" expect verify msg)
+        [
+          (set_word s typed Word.true_, "bad object header");
+          (set_word s typed (Obj.header ~len:100_000 ~code:Obj.code_vector), "overruns");
+          (reseal odd, "odd word count");
+          (set_word s pairs missing, "out of range");
+        ])
+    [ true; false ]
+
 let test_save_during_collection_rejected () =
   let h = heap () in
   let hit = ref false in
@@ -516,5 +577,7 @@ let () =
             test_ceiling_too_small_rejected;
           Alcotest.test_case "save during collection" `Quick
             test_save_during_collection_rejected;
+          Alcotest.test_case "bad structure, valid CRC" `Quick
+            test_bad_structure_rejected;
         ] );
     ]

@@ -75,6 +75,47 @@ let test_catches_smashed_header () =
   Heap.store h (Word.addr (Handle.get v)) Word.true_;
   check "smashed header caught" true (has_error (Verify.verify h) "malformed header")
 
+(* Each defect the shared object parse reports, planted in a fresh heap. *)
+let test_catches_parse_defects () =
+  let header len code h w = Heap.store h (Word.addr w) (Obj.header ~len ~code) in
+  List.iter
+    (fun (what, mk, corrupt) ->
+      let h = heap () in
+      let w = Handle.get (Handle.create h (mk h)) in
+      corrupt h w;
+      check what true (has_error (Verify.verify h) what))
+    [
+      ( "object overruns segment",
+        (fun h -> Obj.make_vector h ~len:3 ~init:(fx 0)),
+        header 1000 Obj.code_vector );
+      ( "unknown type code",
+        (fun h -> Obj.make_vector h ~len:3 ~init:(fx 0)),
+        header 3 200 );
+      ( "odd used count in pair segment",
+        (fun h -> Obj.cons h (fx 1) Word.nil),
+        fun h w ->
+          let si = Heap.info_of_word h w in
+          si.Heap.used <- si.Heap.used + 1 );
+    ]
+
+let test_catches_bad_crossing_entry () =
+  (* Small cards, so an old vector spans several: the crossing entry of a
+     card that starts inside the vector names the vector's header. *)
+  let config = Config.v ~segment_words:128 ~card_words:16 ~max_generation:2 () in
+  let h = Heap.create ~config () in
+  let v = Handle.create h (Obj.make_vector h ~len:40 ~init:(fx 0)) in
+  full_collect h;
+  full_collect h;
+  let addr = Word.addr (Handle.get v) in
+  let seg = Heap.seg_of_addr addr and off = Heap.off_of_addr addr in
+  let card = Heap.card_of_off h (off + 20) in
+  check_int "entry names the header" off (Heap.card_object_start h ~seg ~card);
+  check_int "clean before corruption" 0 (List.length (Verify.verify h));
+  (Heap.info h seg).Heap.crossing.(card) <- off + 1;
+  check "interior crossing entry caught" true
+    (has_error (Verify.verify h)
+       "crossing-map entry is not an object start at or before its card")
+
 let test_catches_stored_forward_marker () =
   let h = heap () in
   let p = Handle.create h (Obj.cons h (fx 1) Word.nil) in
@@ -263,6 +304,8 @@ let () =
           Alcotest.test_case "remembered-set violation" `Quick
             test_catches_remembered_set_violation;
           Alcotest.test_case "smashed header" `Quick test_catches_smashed_header;
+          Alcotest.test_case "parse defects" `Quick test_catches_parse_defects;
+          Alcotest.test_case "bad crossing entry" `Quick test_catches_bad_crossing_entry;
           Alcotest.test_case "stored marker" `Quick test_catches_stored_forward_marker;
           Alcotest.test_case "every traced slot" `Quick test_checks_every_traced_slot;
         ] );

@@ -1,464 +1,33 @@
 (* Differential model checking of the collector + guardian + weak-pair
-   semantics.
+   semantics against the one reference model, the torture harness's
+   semispace oracle (exact including floating garbage).  After every
+   collection of a fixed seed's episodes the harness runs Verify and
+   compares every object's liveness, structure, weak/ephemeron breaking,
+   guardian queue and generation; after every full collection the census
+   must account for every allocated word. *)
 
-   A random sequence of mutator operations (allocate pairs and weak pairs,
-   mutate fields, drop/alias roots, register objects with guardians,
-   retrieve, collect) runs simultaneously against the simulated heap and a
-   pure OCaml shadow model implementing the paper's semantics directly
-   (strong reachability, the resurrection fixpoint, weak-car breaking).
-   After every full collection the two are compared exhaustively:
+module Torture = Gbc_torture.Torture
 
-   - liveness of every node ever allocated,
-   - structure reachable from every root,
-   - broken/mended state of every weak car,
-   - each guardian's pending multiset.
-
-   Node identity is tracked through collections with a weak scanner, which
-   itself exercises that hook. *)
-
-open Gbc_runtime
-
-let check = Alcotest.(check bool)
-
-(* ------------------------------------------------------------------ *)
-(* Shadow model                                                        *)
-
-type mvalue = Imm of int | False | Ref of int  (* node id *)
-
-type kind = Strong | Weak | Eph
-
-type mnode = {
-  id : int;
-  kind : kind;
-  mutable mcar : mvalue;
-  mutable mcdr : mvalue;
-  mutable car_broken : bool;
-  mutable gen : int;  (* model's view of the node's generation *)
-  (* heap-side tracking *)
-  mutable word : Word.t;
-  mutable alive : bool;
-}
-
-type mguardian = {
-  g_handle : Handle.t;
-  mutable registered : (int * int) list;
-      (* (node id, entry generation), oldest first; entries climb the
-         protected lists along with their objects *)
-  mutable pending : int list;  (* multiset of node ids *)
-}
-
-type model = {
-  heap : Heap.t;
-  nodes : (int, mnode) Hashtbl.t;
-  mutable next_id : int;
-  mutable roots : (Handle.t * int) list;  (* rooted node ids *)
-  mutable guardians : mguardian array;
-  scanner : int;
-}
-
-let create_model () =
-  let heap = Heap.create ~config:(Config.v ~segment_words:64 ~max_generation:2 ()) () in
-  let nodes = Hashtbl.create 64 in
-  let scanner =
-    Heap.add_weak_scanner heap (fun lookup ->
-        Hashtbl.iter
-          (fun _ n ->
-            if n.alive then
-              match lookup n.word with
-              | Some w -> n.word <- w
-              | None -> n.alive <- false)
-          nodes)
-  in
-  let m = { heap; nodes; next_id = 0; roots = []; guardians = [||]; scanner } in
-  m.guardians <-
-    Array.init 3 (fun _ ->
-        { g_handle = Handle.create heap (Guardian.make heap); registered = []; pending = [] });
-  m
-
-let dispose_model m =
-  Heap.remove_weak_scanner m.heap m.scanner;
-  List.iter (fun (h, _) -> Handle.free h) m.roots;
-  Array.iter (fun g -> Handle.free g.g_handle) m.guardians
-
-let value_word m = function
-  | Imm k -> Word.of_fixnum k
-  | False -> Word.false_
-  | Ref id -> (Hashtbl.find m.nodes id).word
-
-(* Pick an existing live node id, if any, from an int seed. *)
-let pick_live m seed =
-  let live = Hashtbl.fold (fun id n acc -> if n.alive then id :: acc else acc) m.nodes [] in
-  match live with
-  | [] -> None
-  | _ ->
-      let live = List.sort compare live in
-      Some (List.nth live (abs seed mod List.length live))
-
-let pick_value m seed =
-  if seed mod 3 = 0 then Imm (seed mod 100)
-  else match pick_live m seed with Some id -> Ref id | None -> Imm (seed mod 100)
-
-(* ------------------------------------------------------------------ *)
-(* Operations                                                          *)
-
-type op =
-  | Alloc of kind * int * int  (* cell kind, car seed, cdr seed *)
-  | SetCar of int * int  (* node seed, value seed *)
-  | SetCdr of int * int
-  | DropRoot of int
-  | AddRoot of int  (* alias an existing node *)
-  | Register of int * int  (* guardian index seed, node seed *)
-  | Retrieve of int
-  | Collect of int  (* oldest generation collected *)
-
-let apply_op m op =
-  match op with
-  | Alloc (kind, s1, s2) ->
-      let vcar = pick_value m s1 and vcdr = pick_value m s2 in
-      let id = m.next_id in
-      m.next_id <- id + 1;
-      let wcar = value_word m vcar and wcdr = value_word m vcdr in
-      let word =
-        match kind with
-        | Strong -> Obj.cons m.heap wcar wcdr
-        | Weak -> Obj.weak_cons m.heap wcar wcdr
-        | Eph -> Obj.ephemeron_cons m.heap wcar wcdr
-      in
-      let node =
-        { id; kind; mcar = vcar; mcdr = vcdr; car_broken = false; gen = 0; word;
-          alive = true }
-      in
-      Hashtbl.add m.nodes id node;
-      m.roots <- (Handle.create m.heap word, id) :: m.roots
-  | SetCar (s1, s2) -> (
-      match pick_live m s1 with
+let run_clean ~ops seeds =
+  List.iter
+    (fun seed ->
+      let r = Torture.run_seed ~seed ~opts:{ Torture.default_opts with ops } in
+      match r.Torture.failure with
       | None -> ()
-      | Some id ->
-          let n = Hashtbl.find m.nodes id in
-          let v = pick_value m s2 in
-          n.mcar <- v;
-          n.car_broken <- false;
-          Obj.set_car m.heap n.word (value_word m v))
-  | SetCdr (s1, s2) -> (
-      match pick_live m s1 with
-      | None -> ()
-      | Some id ->
-          let n = Hashtbl.find m.nodes id in
-          let v = pick_value m s2 in
-          n.mcdr <- v;
-          Obj.set_cdr m.heap n.word (value_word m v))
-  | DropRoot s -> (
-      match m.roots with
-      | [] -> ()
-      | roots ->
-          let i = abs s mod List.length roots in
-          let h, _ = List.nth roots i in
-          Handle.free h;
-          m.roots <- List.filteri (fun j _ -> j <> i) roots)
-  | AddRoot s -> (
-      match pick_live m s with
-      | None -> ()
-      | Some id ->
-          let n = Hashtbl.find m.nodes id in
-          m.roots <- (Handle.create m.heap n.word, id) :: m.roots)
-  | Register (s1, s2) -> (
-      match pick_live m s2 with
-      | None -> ()
-      | Some id ->
-          let g = m.guardians.(abs s1 mod Array.length m.guardians) in
-          let n = Hashtbl.find m.nodes id in
-          Guardian.register m.heap (Handle.get g.g_handle) n.word;
-          g.registered <- g.registered @ [ (id, 0) ])
-  | Retrieve s -> (
-      let g = m.guardians.(abs s mod Array.length m.guardians) in
-      match Guardian.retrieve m.heap (Handle.get g.g_handle) with
-      | None ->
-          if g.pending <> [] then
-            Alcotest.failf "guardian empty but model has %d pending"
-              (List.length g.pending)
-      | Some w -> (
-          (* Identify which model node this is. *)
-          let found =
-            List.find_opt (fun id -> Word.equal (Hashtbl.find m.nodes id).word w) g.pending
-          in
-          match found with
-          | None -> Alcotest.fail "guardian returned an object not pending in the model"
-          | Some id ->
-              (* Remove one occurrence; the retrieved object stays alive only
-                 if otherwise referenced — root it like a program would. *)
-              let rec remove_one = function
-                | [] -> []
-                | x :: rest -> if x = id then rest else x :: remove_one rest
-              in
-              g.pending <- remove_one g.pending;
-              m.roots <- (Handle.create m.heap w, id) :: m.roots))
-  | Collect g ->
-      (* Model: the paper's semantics for a collection of generations
-         [0..g], target = min (g+1) max. *)
-      let maxgen = Heap.max_generation m.heap in
-      let g = min g maxgen in
-      let target = min (g + 1) maxgen in
-      let condemned id = (Hashtbl.find m.nodes id).gen <= g in
-      (* 1. Liveness: everything in older generations survives by fiat;
-         reachability flows from roots, pending queues, and the strong
-         fields of old nodes (the remembered set), transitively. *)
-      let live = Hashtbl.create 16 in
-      let rec reach v =
-        match v with
-        | Imm _ | False -> ()
-        | Ref id ->
-            if not (Hashtbl.mem live id) then begin
-              let n = Hashtbl.find m.nodes id in
-              if n.alive then begin
-                Hashtbl.add live id ();
-                match n.kind with
-                | Strong ->
-                    reach n.mcar;
-                    reach n.mcdr
-                | Weak ->
-                    (* weak car is not traced *)
-                    reach n.mcdr
-                | Eph ->
-                    (* neither field is traced eagerly; the ephemeron
-                       fixpoint below traces values of live keys *)
-                    ()
-              end
-            end
-      in
-      (* Ephemeron rule: the value of a live ephemeron whose key is live
-         becomes reachable; iterate to a fixpoint. *)
-      let ephemeron_fixpoint () =
-        let progress = ref true in
-        while !progress do
-          progress := false;
-          Hashtbl.iter
-            (fun id n ->
-              if n.alive && n.kind = Eph && Hashtbl.mem live id then
-                let key_live =
-                  match n.mcar with
-                  | Imm _ | False -> true
-                  | Ref k -> Hashtbl.mem live k
-                in
-                if key_live then begin
-                  (match n.mcar with
-                  | Ref k when not (Hashtbl.mem live k) -> ()
-                  | _ -> ());
-                  let before = Hashtbl.length live in
-                  reach n.mcar;
-                  reach n.mcdr;
-                  if Hashtbl.length live <> before then progress := true
-                end)
-            m.nodes
-        done
-      in
-      Hashtbl.iter
-        (fun id n -> if n.alive && n.gen > g then reach (Ref id))
-        m.nodes;
-      List.iter (fun (_, id) -> reach (Ref id)) m.roots;
-      Array.iter (fun gu -> List.iter (fun id -> reach (Ref id)) gu.pending) m.guardians;
-      ephemeron_fixpoint ();
-      (* 2. Resurrection.  Entries of protected lists of generations <= g
-         are examined; accessibility is decided once, before any
-         resurrection (pend-hold/pend-final), so an object inaccessible
-         except through the guardian mechanism is queued by EVERY such
-         registration.  Surviving entries climb to the target generation.
-         Entries in older protected lists are untouched. *)
-      let accessible0 = Hashtbl.copy live in
-      let fired = ref [] in
-      Array.iter
-        (fun gu ->
-          let still = ref [] in
-          List.iter
-            (fun (id, egen) ->
-              let n = Hashtbl.find m.nodes id in
-              if egen > g then still := (id, egen) :: !still
-              else if (not n.alive) || Hashtbl.mem accessible0 id then
-                still := (id, target) :: !still
-              else begin
-                gu.pending <- gu.pending @ [ id ];
-                fired := id :: !fired
-              end)
-            gu.registered;
-          gu.registered <- List.rev !still)
-        m.guardians;
-      (* Saved objects (and everything they reference) survive; their
-         reachability can resolve further ephemerons. *)
-      List.iter (fun id -> reach (Ref id)) !fired;
-      ephemeron_fixpoint ();
-      (* 3. Weak/ephemeron passes: break live weak cars whose target was
-         condemned and died; break both fields of live ephemerons whose key
-         was condemned and died. *)
-      Hashtbl.iter
-        (fun _ n ->
-          if n.alive && Hashtbl.mem live n.id then
-            match n.kind with
-            | Weak -> (
-                match n.mcar with
-                | Ref t when condemned t && not (Hashtbl.mem live t) ->
-                    n.car_broken <- true;
-                    n.mcar <- False
-                | _ -> ())
-            | Eph -> (
-                match n.mcar with
-                | Ref t when condemned t && not (Hashtbl.mem live t) ->
-                    n.car_broken <- true;
-                    n.mcar <- False;
-                    n.mcdr <- False
-                | _ -> ())
-            | Strong -> ())
-        m.nodes;
-      (* 4. Death and promotion. *)
-      Hashtbl.iter
-        (fun id n ->
-          if n.alive && n.gen <= g then
-            if Hashtbl.mem live id then n.gen <- target else n.alive <- false)
-        m.nodes;
-      let predicted = Hashtbl.fold (fun id n acc -> (id, n.alive) :: acc) m.nodes [] in
-      ignore (Collector.collect m.heap ~gen:g);
-      (* Full structural invariant check after every collection. *)
-      (match Verify.verify m.heap with
-      | [] -> ()
-      | e :: _ -> Alcotest.failf "heap verification: %s (%s)" e.Verify.what e.Verify.where);
-      (* After a full collection, everything live must be reachable: the
-         census (an independent mark-style traversal) must account for
-         every allocated word. *)
-      if g = maxgen then begin
-        let census = Census.run m.heap in
-        if Census.slack census <> 0 then
-          Alcotest.failf "census: %d unreachable words survived a full collection"
-            (Census.slack census)
-      end;
-      (* 5. Compare liveness. *)
-      List.iter
-        (fun (id, model_alive) ->
-          let n = Hashtbl.find m.nodes id in
-          if n.alive <> model_alive then
-            Alcotest.failf "node %d: heap alive=%b, model alive=%b" id n.alive model_alive)
-        predicted;
-      (* 6. Compare structure, weakness and generation of every live node. *)
-      let compare_node id =
-        let n = Hashtbl.find m.nodes id in
-        if n.alive then begin
-          let expect_car = value_word m n.mcar in
-          let expect_cdr = value_word m n.mcdr in
-          let got_car = Obj.car m.heap n.word in
-          if not (Word.equal got_car expect_car) then
-            Alcotest.failf "node %d car mismatch" id;
-          let got_cdr = Obj.cdr m.heap n.word in
-          if not (Word.equal got_cdr expect_cdr) then
-            Alcotest.failf "node %d cdr mismatch" id;
-          if Obj.is_weak_pair m.heap n.word <> (n.kind = Weak) then
-            Alcotest.failf "node %d weakness mismatch" id;
-          if Obj.is_ephemeron m.heap n.word <> (n.kind = Eph) then
-            Alcotest.failf "node %d ephemeron-ness mismatch" id;
-          let hgen = Heap.generation_of_word m.heap n.word in
-          if hgen <> n.gen then
-            Alcotest.failf "node %d generation: heap %d, model %d" id hgen n.gen
-        end
-      in
-      Hashtbl.iter (fun id n -> if n.alive then compare_node id) m.nodes;
-      (* 7. Compare pending queues (as multisets of words). *)
-      Array.iteri
-        (fun gi gu ->
-          let heap_pending =
-            Guardian.pending_list m.heap (Handle.get gu.g_handle)
-            |> List.map (fun w -> w land max_int)
-            |> List.sort compare
-          in
-          let model_pending =
-            List.map (fun id -> (Hashtbl.find m.nodes id).word land max_int) gu.pending
-            |> List.sort compare
-          in
-          if heap_pending <> model_pending then
-            Alcotest.failf "guardian %d pending mismatch: heap %d vs model %d" gi
-              (List.length heap_pending) (List.length model_pending))
-        m.guardians
+      | Some f ->
+          Alcotest.failf "seed %d failed at op %d (%s): %s\nshrunk trace:\n%s" seed
+            f.Torture.op_index f.Torture.profile f.Torture.reason f.Torture.shrunk_trace)
+    seeds
 
-(* ------------------------------------------------------------------ *)
-(* Generation                                                          *)
-
-let op_gen =
-  let open QCheck.Gen in
-  frequency
-    [
-      ( 4,
-        map3
-          (fun k a b ->
-            Alloc ((match k mod 3 with 0 -> Strong | 1 -> Weak | _ -> Eph), a, b))
-          small_nat small_signed_int small_signed_int );
-      (2, map2 (fun a b -> SetCar (a, b)) small_signed_int small_signed_int);
-      (2, map2 (fun a b -> SetCdr (a, b)) small_signed_int small_signed_int);
-      (3, map (fun a -> DropRoot a) small_signed_int);
-      (1, map (fun a -> AddRoot a) small_signed_int);
-      (3, map2 (fun a b -> Register (a, b)) small_signed_int small_signed_int);
-      (2, map (fun a -> Retrieve a) small_signed_int);
-      (2, map (fun g -> Collect (abs g mod 3)) small_signed_int);
-    ]
-
-let pp_op = function
-  | Alloc (k, a, b) ->
-      Printf.sprintf "Alloc(%s,%d,%d)"
-        (match k with Strong -> "strong" | Weak -> "weak" | Eph -> "eph")
-        a b
-  | SetCar (a, b) -> Printf.sprintf "SetCar(%d,%d)" a b
-  | SetCdr (a, b) -> Printf.sprintf "SetCdr(%d,%d)" a b
-  | DropRoot a -> Printf.sprintf "DropRoot(%d)" a
-  | AddRoot a -> Printf.sprintf "AddRoot(%d)" a
-  | Register (a, b) -> Printf.sprintf "Register(%d,%d)" a b
-  | Retrieve a -> Printf.sprintf "Retrieve(%d)" a
-  | Collect g -> Printf.sprintf "Collect(%d)" g
-
-let prop_model =
-  QCheck.Test.make ~name:"heap agrees with the shadow model" ~count:200
-    (QCheck.make
-       ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
-       QCheck.Gen.(list_size (int_range 5 120) op_gen))
-    (fun ops ->
-      let m = create_model () in
-      Fun.protect
-        ~finally:(fun () -> dispose_model m)
-        (fun () ->
-          List.iter (apply_op m) ops;
-          (* Always finish with verified full collections. *)
-          apply_op m (Collect 2);
-          apply_op m (Collect 2);
-          true))
-
-let test_long_run () =
-  (* One long deterministic pseudo-random run for good measure. *)
-  let st = Random.State.make [| 0xBEEF |] in
-  let m = create_model () in
-  Fun.protect
-    ~finally:(fun () -> dispose_model m)
-    (fun () ->
-      for _ = 1 to 3000 do
-        let s () = Random.State.int st 1000 - 500 in
-        let op =
-          match Random.State.int st 19 with
-          | 0 | 1 | 2 | 3 ->
-              Alloc
-                ( (match Random.State.int st 3 with 0 -> Strong | 1 -> Weak | _ -> Eph),
-                  s (),
-                  s () )
-          | 4 | 5 -> SetCar (s (), s ())
-          | 6 | 7 -> SetCdr (s (), s ())
-          | 8 | 9 | 10 -> DropRoot (s ())
-          | 11 -> AddRoot (s ())
-          | 12 | 13 | 14 -> Register (s (), s ())
-          | 15 | 16 -> Retrieve (s ())
-          | n -> Collect (n mod 3)
-        in
-        apply_op m op
-      done;
-      apply_op m (Collect 2));
-  check "long run completed" true true
+let test_model () = run_clean ~ops:800 (List.init 24 (fun i -> 100 + i))
+let test_long_run () = run_clean ~ops:4000 [ 0xBEEF ]
 
 let () =
   Alcotest.run "model"
     [
       ( "differential",
         [
-          QCheck_alcotest.to_alcotest prop_model;
+          Alcotest.test_case "heap agrees with the shadow model" `Quick test_model;
           Alcotest.test_case "long deterministic run" `Slow test_long_run;
         ] );
     ]
