@@ -73,7 +73,6 @@ module Gc_report = struct
 
   type agg = {
     bench : string;
-    mutable collections : int;
     mutable pauses_us : float list;  (* one entry per collection *)
     phase_ns : float array;  (* indexed by Telemetry.phase_index *)
     phase_work : int array;
@@ -96,40 +95,6 @@ module Gc_report = struct
   let current : agg option ref = ref None
   let finished : agg list ref = ref []
 
-  let add_counters (into : Stats.counters) (c : Stats.counters) =
-    into.Stats.objects_copied <- into.Stats.objects_copied + c.Stats.objects_copied;
-    into.Stats.words_copied <- into.Stats.words_copied + c.Stats.words_copied;
-    into.Stats.words_swept <- into.Stats.words_swept + c.Stats.words_swept;
-    into.Stats.root_words <- into.Stats.root_words + c.Stats.root_words;
-    into.Stats.dirty_segments_scanned <-
-      into.Stats.dirty_segments_scanned + c.Stats.dirty_segments_scanned;
-    into.Stats.cards_scanned <- into.Stats.cards_scanned + c.Stats.cards_scanned;
-    into.Stats.card_words_swept <-
-      into.Stats.card_words_swept + c.Stats.card_words_swept;
-    into.Stats.dirty_candidate_words <-
-      into.Stats.dirty_candidate_words + c.Stats.dirty_candidate_words;
-    into.Stats.guardian_pend_checks <-
-      into.Stats.guardian_pend_checks + c.Stats.guardian_pend_checks;
-    into.Stats.protected_entries_visited <-
-      into.Stats.protected_entries_visited + c.Stats.protected_entries_visited;
-    into.Stats.guardian_resurrections <-
-      into.Stats.guardian_resurrections + c.Stats.guardian_resurrections;
-    into.Stats.guardian_entries_promoted <-
-      into.Stats.guardian_entries_promoted + c.Stats.guardian_entries_promoted;
-    into.Stats.guardian_entries_dropped <-
-      into.Stats.guardian_entries_dropped + c.Stats.guardian_entries_dropped;
-    into.Stats.weak_pairs_scanned <-
-      into.Stats.weak_pairs_scanned + c.Stats.weak_pairs_scanned;
-    into.Stats.weak_pointers_broken <-
-      into.Stats.weak_pointers_broken + c.Stats.weak_pointers_broken;
-    into.Stats.ephemerons_scanned <-
-      into.Stats.ephemerons_scanned + c.Stats.ephemerons_scanned;
-    into.Stats.ephemerons_broken <-
-      into.Stats.ephemerons_broken + c.Stats.ephemerons_broken;
-    into.Stats.segments_freed <- into.Stats.segments_freed + c.Stats.segments_freed;
-    into.Stats.segments_allocated <-
-      into.Stats.segments_allocated + c.Stats.segments_allocated
-
   (* Subscribe the heap's telemetry to the running benchmark's aggregate. *)
   let instrument_heap h =
     match !current with
@@ -141,7 +106,6 @@ module Gc_report = struct
         ignore
           (Telemetry.add_sink tel (function
             | Telemetry.Collection_end { duration_ns; counters; _ } ->
-                agg.collections <- agg.collections + 1;
                 agg.pauses_us <- (duration_ns /. 1e3) :: agg.pauses_us;
                 List.iter
                   (fun ph ->
@@ -151,7 +115,7 @@ module Gc_report = struct
                     agg.phase_work.(i) <-
                       agg.phase_work.(i) + Telemetry.phase_work_last tel ph)
                   Telemetry.all_phases;
-                add_counters agg.totals counters
+                Stats.add ~into:agg.totals counters
             | _ -> ()))
 
   let start bench =
@@ -159,7 +123,6 @@ module Gc_report = struct
       Some
         {
           bench;
-          collections = 0;
           pauses_us = [];
           phase_ns = Array.make Telemetry.phase_count 0.0;
           phase_work = Array.make Telemetry.phase_count 0;
@@ -223,7 +186,7 @@ module Gc_report = struct
         let total_phase_ns = Array.fold_left ( +. ) 0.0 agg.phase_ns in
         let c = agg.totals in
         bprintf "    {\n      \"name\": %S,\n" agg.bench;
-        bprintf "      \"collections\": %d,\n" agg.collections;
+        bprintf "      \"collections\": %d,\n" c.Stats.collections;
         bprintf
           "      \"pause_us\": {\"p50\": %.3f, \"p95\": %.3f, \"max\": %.3f},\n"
           (percentile pauses 50.0) (percentile pauses 95.0)
@@ -242,19 +205,9 @@ module Gc_report = struct
               (if i = Gbc_runtime.Telemetry.phase_count - 1 then "" else ","))
           Gbc_runtime.Telemetry.all_phases;
         bprintf "      },\n";
-        bprintf
-          "      \"counters\": {\"words_copied\": %d, \"words_swept\": %d, \
-           \"entries_visited\": %d, \"resurrections\": %d, \"entries_dropped\": \
-           %d, \"weak_broken\": %d, \"ephemerons_broken\": %d, \
-           \"cards_scanned\": %d, \"card_words_swept\": %d, \
-           \"dirty_candidate_words\": %d, \"dirty_segments_scanned\": %d, \
-           \"guardian_pend_checks\": %d},\n"
-          c.Stats.words_copied c.Stats.words_swept
-          c.Stats.protected_entries_visited c.Stats.guardian_resurrections
-          c.Stats.guardian_entries_dropped c.Stats.weak_pointers_broken
-          c.Stats.ephemerons_broken c.Stats.cards_scanned
-          c.Stats.card_words_swept c.Stats.dirty_candidate_words
-          c.Stats.dirty_segments_scanned c.Stats.guardian_pend_checks;
+        bprintf "      \"counters\": {%s},\n"
+          (String.concat ", "
+             (List.map (fun (name, get, _) -> Printf.sprintf "%S: %d" name (get c)) Stats.fields));
         bprintf
           "      \"mutator\": {\"registrations\": %d, \"polls\": %d, \"hits\": \
            %d, \"tconc_enqueues\": %d, \"tconc_dequeues\": %d},\n"

@@ -170,10 +170,10 @@ let () =
       | Some path -> load_machine path)
   in
   let attach_log m =
-    if opts.gc_log then
-      ignore
-        (Telemetry.Log.attach (Heap.telemetry (Machine.heap m))
-           Format.err_formatter)
+    if opts.gc_log then begin
+      let h = Machine.heap m in
+      ignore (Telemetry.Log.attach (Heap.telemetry h) (Heap.stats h) Format.err_formatter)
+    end
   in
   Machine.set_echo !mr true;
   attach_log !mr;

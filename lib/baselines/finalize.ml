@@ -34,7 +34,7 @@ type t = {
 let create heap =
   let t_ref = ref None in
   let scanner_id =
-    Heap.add_weak_scanner heap (fun lookup ->
+    Heap.add_callback heap (Heap.Weak_scanner (fun lookup ->
         match !t_ref with
         | None -> ()
         | Some t ->
@@ -53,10 +53,10 @@ let create heap =
                 end)
               t.entries;
             t.entries <- List.rev !survivors;
-            t.pending <- List.rev_append !dead t.pending)
+            t.pending <- List.rev_append !dead t.pending))
   in
   let hook_id =
-    Heap.add_post_gc_hook heap (fun h ->
+    Heap.add_callback heap (Heap.After_gc (fun h ->
         match !t_ref with
         | None -> ()
         | Some t ->
@@ -73,7 +73,7 @@ let create heap =
                   (fun e ->
                     t.finalized <- t.finalized + 1;
                     try e.thunk () with exn -> t.errors <- exn :: t.errors)
-                  pending))
+                  pending)))
   in
   let t =
     {
@@ -91,8 +91,8 @@ let create heap =
   t
 
 let dispose t =
-  Heap.remove_weak_scanner t.heap t.scanner_id;
-  Heap.remove_post_gc_hook t.heap t.hook_id
+  Heap.remove_callback t.heap t.scanner_id;
+  Heap.remove_callback t.heap t.hook_id
 
 (** Register [obj]: [thunk] runs during the collection that reclaims it. *)
 let register t obj ~thunk = t.entries <- { word = obj; alive = true; thunk } :: t.entries

@@ -24,7 +24,7 @@ let create heap =
   let by_id = Hashtbl.create 64 in
   let by_word = Hashtbl.create 64 in
   let scanner_id =
-    Heap.add_weak_scanner heap (fun lookup ->
+    Heap.add_callback heap (Heap.Weak_scanner (fun lookup ->
         Hashtbl.reset by_word;
         Hashtbl.iter
           (fun id e ->
@@ -35,11 +35,11 @@ let create heap =
                   Hashtbl.replace by_word w id
               | None -> e.alive <- false
             end)
-          by_id)
+          by_id))
   in
   { heap; next = 1; by_id; by_word; scanner_id }
 
-let dispose t = Heap.remove_weak_scanner t.heap t.scanner_id
+let dispose t = Heap.remove_callback t.heap t.scanner_id
 
 (** Unique integer for [obj]; stable for the object's lifetime. *)
 let hash t obj =

@@ -165,7 +165,7 @@ let save_string ?(symbols = []) ?(extras = []) (h : Heap.t) =
   i64 b h.Heap.collect_count;
   i64 b h.Heap.last_gc_generation;
   i64 b (Heap.stats h).Stats.words_allocated_since_gc;
-  u32 b (Telemetry.guardian_count tel);
+  u32 b (Stats.guardian_count (Heap.stats h));
   u32 b !nlive;
   for i = 0 to !nlive - 1 do
     let si = h.Heap.infos.(live.(i)) in
@@ -239,7 +239,7 @@ let save_string ?(symbols = []) ?(extras = []) (h : Heap.t) =
   u32 out (crc32 payload ~pos:0 ~len:(String.length payload));
   let s = Buffer.contents out in
   Telemetry.phase_end tel Telemetry.Image_save ~work:!total_words;
-  Telemetry.record_image_save tel ~bytes:(String.length s) ~words:!total_words;
+  Stats.count_image_save (Heap.stats h) ~bytes:(String.length s) ~words:!total_words;
   s
 
 (* ------------------------------------------------------------------ *)
@@ -433,7 +433,7 @@ let load_string ?config s =
   h.Heap.collect_count <- collect_count;
   h.Heap.last_gc_generation <- last_gc_generation;
   (Heap.stats h).Stats.words_allocated_since_gc <- words_since_gc;
-  Telemetry.restore_guardian_count tel nguardians;
+  Stats.restore_guardian_count (Heap.stats h) nguardians;
   let symbols = ref [] in
   let nsyms = ru32 r in
   for _ = 1 to nsyms do
@@ -477,7 +477,7 @@ let load_string ?config s =
   end;
   Telemetry.phase_end tel Telemetry.Image_load ~work:!total_words;
   Telemetry.set_enabled tel was_on;
-  Telemetry.record_image_load tel ~bytes:total ~words:!total_words;
+  Stats.count_image_load (Heap.stats h) ~bytes:total ~words:!total_words;
   {
     heap = h;
     symbols;

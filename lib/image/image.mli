@@ -76,7 +76,7 @@ val save_string :
 (** Serialize the heap (plus the symbol section, sorted by name, and the
     named extras in caller order) to [gbc-image/1] bytes.  Times itself
     under the {!Telemetry.Image_save} phase and bumps the image
-    counters.
+    counters in {!Stats}.
     @raise Error when called during a collection or from a finalization
     thunk, or if a root/slot points into a dead segment. *)
 
@@ -86,7 +86,7 @@ val load_string : ?config:Config.t -> string -> loaded
     default configuration with the image's geometry is used.  The
     loader's own segment acquisitions are exempt from fault injection.
     Times itself under {!Telemetry.Image_load} (on the new heap's hub)
-    and bumps the image counters.
+    and bumps the image counters in {!Stats}.
     @raise Error on any malformed, truncated, corrupt or incompatible
     image, and on a post-load {!Verify} failure. *)
 

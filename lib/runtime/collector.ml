@@ -22,7 +22,12 @@
       the guardian pass, so a weak pointer to an object saved by a guardian
       is {e not} broken;
     + run registered weak scanners (support for baseline mechanisms);
-    + free the condemned segments.
+    + free the condemned segments, close the collection's counters and
+      events, and run the after-GC hooks.
+
+    Every user callback (root scanner, weak scanner, after-GC hook) runs
+    through [guarded]: a raising callback cannot leave the heap
+    mid-collection (see {!Heap.callback}).
 
     The collector does no allocation except copies and the fresh tconc cells
     it appends (which go straight to the target generation). *)
@@ -253,7 +258,8 @@ let kleene_sweep t ~target =
 type pend = { obj : Word.t; mutable rep : Word.t; tconc : Word.t; gid : int }
 
 let guardian_pass t ~g ~target =
-  let stats = (Heap.stats t).last in
+  let st = Heap.stats t in
+  let stats = st.last in
   let pend_hold = ref [] and pend_final = ref [] in
   (* First block: separate accessible from inaccessible registered objects.
      The protected lists themselves are collector metadata and are not
@@ -327,11 +333,9 @@ let guardian_pass t ~g ~target =
               store t (addr + 1) d;
               Word.pair_ptr addr)
             tc rep;
-          stats.guardian_resurrections <- stats.guardian_resurrections + 1;
-          (* Latency bookkeeping: the entry becomes retrievable at the
-             epoch following this collection. *)
-          Telemetry.record_resurrection t.telemetry ~gid:e.gid
-            ~epoch:(t.gc_epoch + 1)
+          (* The entry becomes retrievable at the epoch following this
+             collection (the poll-latency origin). *)
+          Stats.count_resurrection st ~gid:e.gid ~epoch:(t.gc_epoch + 1)
         done;
         kleene_sweep t ~target;
         (* Tconcs forwarded by the saves above release their waiters. *)
@@ -348,14 +352,7 @@ let guardian_pass t ~g ~target =
         Vec.Int.clear t.gc_forward_log
       done);
   (* Entries still waiting: their guardian itself died. *)
-  Hashtbl.iter
-    (fun _ r ->
-      List.iter
-        (fun e ->
-          stats.guardian_entries_dropped <- stats.guardian_entries_dropped + 1;
-          Telemetry.record_drop t.telemetry ~gid:e.gid)
-        !r)
-    waiters;
+  Hashtbl.iter (fun _ r -> List.iter (fun e -> Stats.count_drop st ~gid:e.gid) !r) waiters;
   (* Third block: entries whose object is still accessible survive into the
      target generation's protected list — provided their guardian does. *)
   let entry_generation =
@@ -372,10 +369,7 @@ let guardian_pass t ~g ~target =
           ~rep:(resolve t e.rep) ~tconc;
         stats.guardian_entries_promoted <- stats.guardian_entries_promoted + 1
       end
-      else begin
-        stats.guardian_entries_dropped <- stats.guardian_entries_dropped + 1;
-        Telemetry.record_drop t.telemetry ~gid:e.gid
-      end)
+      else Stats.count_drop st ~gid:e.gid)
     !pend_hold
 
 (* ------------------------------------------------------------------ *)
@@ -468,21 +462,34 @@ let dirty_scan t ~g ~target =
   !weak_cards
 
 (* ------------------------------------------------------------------ *)
-(* Root scan                                                           *)
+(* User callbacks                                                      *)
 
-let root_scan t ~target =
+(* Run one user callback.  An exception is held in [failed] (the first
+   one wins) and re-raised by [collect] once the collection is complete,
+   so later callbacks still run and the heap never stays mid-collection. *)
+let guarded failed f =
+  try f ()
+  with e -> if Option.is_none !failed then failed := Some (e, Printexc.get_raw_backtrace ())
+
+let root_scan t ~target ~failed =
   let stats = (Heap.stats t).last in
-  iter_scanners t ~f:(fun scan ->
-      scan (fun w ->
-          stats.root_words <- stats.root_words + 1;
-          copy t ~target w))
+  let rewrite w =
+    stats.root_words <- stats.root_words + 1;
+    copy t ~target w
+  in
+  iter_scanners t ~f:(fun scan -> guarded failed (fun () -> scan rewrite))
 
-let weak_root_scan t =
+let weak_root_scan t ~failed =
   let lookup w =
     let w' = resolve t w in
     if Word.equal w' Word.forward_marker then None else Some w'
   in
-  iter_weak_scanners t ~f:(fun scan -> scan lookup)
+  List.iter
+    (function _, Weak_scanner scan -> guarded failed (fun () -> scan lookup) | _ -> ())
+    t.callbacks
+
+let run_after_gc t ~failed =
+  List.iter (function _, After_gc hook -> guarded failed (fun () -> hook t) | _ -> ()) t.callbacks
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -496,6 +503,7 @@ let collect ?weak_pass_first t ~gen:g =
   Stats.begin_collection (Heap.stats t);
   let tel = t.telemetry in
   let stats = (Heap.stats t).last in
+  let failed = ref None in
   let target = cfg.promote ~gen:g ~max_generation:cfg.max_generation in
   Telemetry.collection_begin tel
     ~ordinal:((Heap.stats t).total.Stats.collections + 1)
@@ -525,7 +533,7 @@ let collect ?weak_pass_first t ~gen:g =
   (* Roots, remembered set, transitive copy. *)
   phase Telemetry.Root_scan
     (fun () -> stats.root_words)
-    (fun () -> root_scan t ~target);
+    (fun () -> root_scan t ~target ~failed);
   let dirty_weak_cards =
     phase Telemetry.Dirty_scan
       (fun () -> stats.card_words_swept)
@@ -566,7 +574,7 @@ let collect ?weak_pass_first t ~gen:g =
     (fun () ->
       (* Baseline support: weak scanners observe forwarding before from-space
          is reclaimed. *)
-      weak_root_scan t;
+      weak_root_scan t ~failed;
       (* Remember any to-space segment left pointing at a younger generation
          (possible under non-default promotion policies). *)
       Vec.Int.iter t.gc_new_segs ~f:(fun seg ->
@@ -579,13 +587,10 @@ let collect ?weak_pass_first t ~gen:g =
   t.last_gc_generation <- g;
   Stats.end_collection (Heap.stats t);
   t.in_collection <- false;
-  (* The counter snapshot and live-word census are only paid for when
-     someone is listening. *)
-  if Telemetry.enabled tel then begin
-    let s = Heap.stats t in
-    Telemetry.collection_end tel ~counters:(Stats.copy stats)
-      ~live_words:(live_words t) ~barrier_calls:s.Stats.barrier_calls
-      ~barrier_hits:s.Stats.barrier_hits ~cards_dirtied:s.Stats.cards_dirtied ()
-  end;
-  run_post_gc_hooks t;
-  { generation = g; target; duration_ns = Unix_time.now_ns () -. t0 }
+  (* The live-word census is only paid for when someone is listening. *)
+  if Telemetry.enabled tel then
+    Telemetry.collection_end tel ~counters:stats ~live_words:(live_words t);
+  run_after_gc t ~failed;
+  match !failed with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> { generation = g; target; duration_ns = Unix_time.now_ns () -. t0 }

@@ -22,4 +22,5 @@ val collect : ?weak_pass_first:bool -> Heap.t -> gen:int -> outcome
     essential (a weak pointer to a guardian-saved object would be broken).
 
     @raise Invalid_argument if already collecting or [gen] is out of
-    range. *)
+    range.  Re-raises the first exception of a raising callback, after
+    the collection has completed (see {!Heap.callback}). *)

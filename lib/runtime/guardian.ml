@@ -11,10 +11,10 @@
 
     At the user level Scheme represents guardians as procedures; here a
     guardian is a typed heap object wrapping the tconc queue plus a stable
-    telemetry id (the heap word itself moves under copying collections, so
-    the id — not the address — keys the per-guardian lifecycle metrics in
-    {!Telemetry}).  The Scheme layer wraps it back into a procedure,
-    recovering the paper's exact interface. *)
+    id (the heap word itself moves under copying collections, so the id —
+    not the address — keys the guardian's row in {!Stats}).  The Scheme
+    layer wraps it back into a procedure, recovering the paper's exact
+    interface. *)
 
 let tconc_field = 0
 let id_field = 1
@@ -22,7 +22,7 @@ let id_field = 1
 (** [make h] creates a new guardian with an empty registered group. *)
 let make h =
   let tc = Tconc.make h in
-  let gid = Telemetry.new_guardian (Heap.telemetry h) in
+  let gid = Stats.new_guardian (Heap.stats h) in
   let g = Obj.make_typed h ~code:Obj.code_guardian ~len:2 ~init:Word.nil () in
   Obj.set_field h g tconc_field tc;
   Obj.set_field h g id_field (Word.of_fixnum gid);
@@ -34,14 +34,14 @@ let tconc h g =
   assert (is_guardian h g);
   Obj.field h g tconc_field
 
-(** The guardian's stable telemetry id. *)
+(** The guardian's stable id. *)
 let id h g =
   assert (is_guardian h g);
   Word.to_fixnum (Obj.field h g id_field)
 
 (** Lifecycle metrics of guardian [g]: registrations, resurrections,
     drops, polls, hits, poll latency. *)
-let stats h g = Telemetry.guardian_stats (Heap.telemetry h) (id h g)
+let stats h g = Stats.guardian (Heap.stats h) (id h g)
 
 (** Register [obj] with guardian [g].  An object may be registered with more
     than one guardian, or several times with the same guardian (it is then
@@ -63,12 +63,8 @@ let register_with_rep h g ~obj ~rep =
     triggers a collection: overhead is paid only per clean-up actually
     performed. *)
 let retrieve h g =
-  let stats' = Heap.stats h in
-  stats'.guardian_polls <- stats'.guardian_polls + 1;
   let result = Tconc.dequeue h (tconc h g) in
-  let hit = result <> None in
-  if hit then stats'.guardian_hits <- stats'.guardian_hits + 1;
-  Telemetry.record_poll (Heap.telemetry h) ~gid:(id h g) ~hit
+  Stats.count_poll (Heap.stats h) ~gid:(id h g) ~hit:(result <> None)
     ~epoch:(Heap.gc_epoch h);
   result
 

@@ -18,10 +18,10 @@ val tconc : Heap.t -> Word.t -> Word.t
 (** The guardian's underlying tconc (exposed for tests and tooling). *)
 
 val id : Heap.t -> Word.t -> int
-(** The guardian's stable telemetry id (stored in the guardian object, so
-    it survives copying collections). *)
+(** The guardian's stable id (stored in the guardian object, so it
+    survives copying collections); keys its row in {!Stats}. *)
 
-val stats : Heap.t -> Word.t -> Telemetry.guardian_stats
+val stats : Heap.t -> Word.t -> Stats.guardian
 (** Lifecycle metrics of this guardian: registrations, resurrections,
     drops, polls, hits, and poll latency (collections between an entry's
     resurrection and its retrieval). *)

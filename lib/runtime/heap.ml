@@ -7,7 +7,8 @@
       generation and dirty status (the paper's Chez Scheme substrate);
     - per-space allocation cursors for the mutator (generation 0) and for
       the collector (the target generation during a collection);
-    - the {e root} registry (global cells plus arbitrary scanners);
+    - the {e root} registry (global cells) and the collection callbacks
+      (root scanners, weak scanners, after-GC hooks);
     - the per-generation {e protected lists} of guardian registrations;
     - work counters ({!Stats}).
 
@@ -61,7 +62,7 @@ type protected = {
   (* Parallel vectors: one guardian registration per index.  [rep] is the
      word enqueued when [obj] proves inaccessible; it equals [obj] for plain
      registrations and is a distinct "agent" for the generalized interface
-     of the paper's Section 5.  [gid] is the owning guardian's telemetry id
+     of the paper's Section 5.  [gid] is the owning guardian's id
      (stable across copying collections, unlike the tconc word). *)
   p_objs : Vec.Int.t;
   p_reps : Vec.Int.t;
@@ -108,9 +109,8 @@ type t = {
   mutable global_cells : int array;
   mutable global_cells_len : int;
   mutable global_free : int list;
-  mutable scanners : (int * ((Word.t -> Word.t) -> unit)) list;
-  mutable weak_scanners : (int * ((Word.t -> Word.t option) -> unit)) list;
-  mutable next_scanner_id : int;
+  mutable callbacks : (int * callback) list;  (** most recently added first *)
+  mutable next_callback_id : int;
   mutable in_collection : bool;
   mutable alloc_forbidden : bool;
   mutable segment_words_live : int;  (** capacity of all live segments *)
@@ -118,9 +118,13 @@ type t = {
   mutable collect_count : int;  (** collect requests served (schedule input) *)
   mutable last_gc_generation : int;  (** oldest generation of the last GC *)
   mutable collect_request_handler : (t -> unit) option;
-  mutable post_gc_hooks : (int * (t -> unit)) list;
   faults : faults;
 }
+
+and callback =
+  | Root_scanner of ((Word.t -> Word.t) -> unit)
+  | Weak_scanner of ((Word.t -> Word.t option) -> unit)
+  | After_gc of (t -> unit)
 
 let fresh_info () =
   {
@@ -183,9 +187,8 @@ let create ?(config = Config.default) () =
     global_cells = Array.make 64 Word.nil;
     global_cells_len = 0;
     global_free = [];
-    scanners = [];
-    weak_scanners = [];
-    next_scanner_id = 0;
+    callbacks = [];
+    next_callback_id = 0;
     in_collection = false;
     alloc_forbidden = false;
     segment_words_live = 0;
@@ -193,7 +196,6 @@ let create ?(config = Config.default) () =
     collect_count = 0;
     last_gc_generation = -1;
     collect_request_handler = None;
-    post_gc_hooks = [];
     faults =
       {
         fail_segment_alloc_at = config.Config.fail_segment_alloc_at;
@@ -320,8 +322,12 @@ let acquire_segment t ~space ~generation ~min_words =
   if Array.length si.crossing < ncards then si.crossing <- Array.make ncards 0;
   t.segment_words_live <- t.segment_words_live + si.size;
   Vec.Int.push t.gen_segs.(generation) seg;
-  if t.in_collection then Vec.Int.push t.gc_new_segs seg;
-  t.stats.last.segments_allocated <- t.stats.last.segments_allocated + 1;
+  (* Only a collection's own acquisitions count: [last] belongs to the
+     collection and is frozen once it ends. *)
+  if t.in_collection then begin
+    Vec.Int.push t.gc_new_segs seg;
+    t.stats.last.segments_allocated <- t.stats.last.segments_allocated + 1
+  end;
   seg
 
 let release_segment t seg =
@@ -331,7 +337,8 @@ let release_segment t seg =
   si.condemned <- false;
   si.used <- 0;
   si.on_dirty_list <- false;
-  t.stats.last.segments_freed <- t.stats.last.segments_freed + 1;
+  if t.in_collection then
+    t.stats.last.segments_freed <- t.stats.last.segments_freed + 1;
   if si.large then begin
     t.segs.(seg) <- [||];
     si.large <- false;
@@ -524,28 +531,15 @@ let free_cell t i =
   t.global_cells.(i) <- Word.nil;
   t.global_free <- i :: t.global_free
 
-(** Register a root scanner.  During a collection it is called with the
-    forwarding function and must apply it to every root word it owns,
-    storing back the results.  Returns an id for {!remove_scanner}. *)
-let add_scanner t scan =
-  let id = t.next_scanner_id in
-  t.next_scanner_id <- id + 1;
-  t.scanners <- (id, scan) :: t.scanners;
+(** Register a collection callback; returns an id for
+    {!remove_callback}. *)
+let add_callback t cb =
+  let id = t.next_callback_id in
+  t.next_callback_id <- id + 1;
+  t.callbacks <- (id, cb) :: t.callbacks;
   id
 
-let remove_scanner t id = t.scanners <- List.filter (fun (i, _) -> i <> id) t.scanners
-
-(** Register a weak scanner: called after each collection's weak pass with a
-    [lookup] function mapping an old word to its new location, or [None] if
-    the object was reclaimed.  Weak scanners do not keep objects alive. *)
-let add_weak_scanner t scan =
-  let id = t.next_scanner_id in
-  t.next_scanner_id <- id + 1;
-  t.weak_scanners <- (id, scan) :: t.weak_scanners;
-  id
-
-let remove_weak_scanner t id =
-  t.weak_scanners <- List.filter (fun (i, _) -> i <> id) t.weak_scanners
+let remove_callback t id = t.callbacks <- List.filter (fun (i, _) -> i <> id) t.callbacks
 
 let iter_scanners t ~f =
   (* Built-in roots: the global cells. *)
@@ -553,9 +547,7 @@ let iter_scanners t ~f =
       for i = 0 to t.global_cells_len - 1 do
         t.global_cells.(i) <- rewrite t.global_cells.(i)
       done);
-  List.iter (fun (_, scan) -> f scan) t.scanners
-
-let iter_weak_scanners t ~f = List.iter (fun (_, scan) -> f scan) t.weak_scanners
+  List.iter (function _, Root_scanner scan -> f scan | _ -> ()) t.callbacks
 
 (** Run [f] with a temporary root cell holding [w]; returns [f cell_id].
     Convenient for library code that must keep a value alive across a
@@ -567,19 +559,6 @@ let with_cell t w f =
 (* ------------------------------------------------------------------ *)
 (* Protected lists (guardian registrations)                            *)
 
-(** Register [obj] with the guardian whose tconc is [tconc]: a new entry is
-    added to the protected list for generation 0, exactly as in the paper.
-    [rep] is what the collector will enqueue when [obj] proves
-    inaccessible. *)
-let protected_add t ~gid ~obj ~rep ~tconc =
-  let p = t.protected.(0) in
-  Vec.Int.push p.p_objs obj;
-  Vec.Int.push p.p_reps rep;
-  Vec.Int.push p.p_tconcs tconc;
-  Vec.Int.push p.p_gids gid;
-  t.stats.registrations <- t.stats.registrations + 1;
-  Telemetry.record_registration t.telemetry ~gid
-
 let protected_add_gen t ~generation ~gid ~obj ~rep ~tconc =
   let p = t.protected.(generation) in
   Vec.Int.push p.p_objs obj;
@@ -587,25 +566,19 @@ let protected_add_gen t ~generation ~gid ~obj ~rep ~tconc =
   Vec.Int.push p.p_tconcs tconc;
   Vec.Int.push p.p_gids gid
 
+(** Register [obj] with the guardian whose tconc is [tconc]: a new entry is
+    added to the protected list for generation 0, exactly as in the paper.
+    [rep] is what the collector will enqueue when [obj] proves
+    inaccessible. *)
+let protected_add t ~gid ~obj ~rep ~tconc =
+  protected_add_gen t ~generation:0 ~gid ~obj ~rep ~tconc;
+  Stats.count_registration t.stats ~gid
+
 let protected_length t generation =
   Vec.Int.length t.protected.(generation).p_objs
 
 let protected_total t =
   Array.fold_left (fun acc p -> acc + Vec.Int.length p.p_objs) 0 t.protected
-
-(* ------------------------------------------------------------------ *)
-(* Post-GC hooks                                                       *)
-
-let add_post_gc_hook t hook =
-  let id = t.next_scanner_id in
-  t.next_scanner_id <- id + 1;
-  t.post_gc_hooks <- (id, hook) :: t.post_gc_hooks;
-  id
-
-let remove_post_gc_hook t id =
-  t.post_gc_hooks <- List.filter (fun (i, _) -> i <> id) t.post_gc_hooks
-
-let run_post_gc_hooks t = List.iter (fun (_, h) -> h t) t.post_gc_hooks
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

@@ -1,9 +1,9 @@
 (** The simulated segmented heap.
 
     A heap instance owns the store (segments of tagged words), the segment
-    information table, per-space allocation cursors, the root registry, the
-    per-generation protected lists of guardian registrations, and work
-    counters.
+    information table, per-space allocation cursors, the root cells, the
+    collection callbacks, the per-generation protected lists of guardian
+    registrations, and work counters.
 
     Mutator allocation never runs the collector: collections happen only at
     explicit safepoints ({!Runtime.safepoint}) or explicit
@@ -71,7 +71,7 @@ type protected = {
 (** Parallel vectors: one guardian registration per index.  [rep] is the
     word enqueued when [obj] proves inaccessible (equal to [obj] for plain
     registrations; a distinct agent for the paper's Section 5 interface).
-    [gid] is the owning guardian's telemetry id. *)
+    [gid] is the owning guardian's id ({!Stats.guardian}). *)
 
 type t = {
   config : Config.t;
@@ -100,9 +100,8 @@ type t = {
   mutable global_cells : int array;
   mutable global_cells_len : int;
   mutable global_free : int list;
-  mutable scanners : (int * ((Word.t -> Word.t) -> unit)) list;
-  mutable weak_scanners : (int * ((Word.t -> Word.t option) -> unit)) list;
-  mutable next_scanner_id : int;
+  mutable callbacks : (int * callback) list;  (** most recently added first *)
+  mutable next_callback_id : int;
   mutable in_collection : bool;
   mutable alloc_forbidden : bool;
   mutable segment_words_live : int;  (** capacity of all live segments *)
@@ -110,9 +109,32 @@ type t = {
   mutable collect_count : int;
   mutable last_gc_generation : int;  (** oldest generation of the last GC *)
   mutable collect_request_handler : (t -> unit) option;
-  mutable post_gc_hooks : (int * (t -> unit)) list;
   faults : faults;
 }
+
+(** Code the collector calls during or after each collection.  Within
+    each kind, callbacks run most recently added first.
+
+    If a callback raises, the collection still completes: the remaining
+    callbacks run, from-space is freed, [in_collection] is cleared,
+    {!Stats} and {!Telemetry} close the collection, and then
+    {!Collector.collect} re-raises the first exception with its
+    backtrace.  The heap stays consistent and the next collection
+    proceeds normally.  What the raising callback itself owned is not
+    repaired: root words a raising root scanner had not yet rewritten
+    are stale (they point into freed from-space), and a raising weak
+    scanner leaves the rest of its table unmended. *)
+and callback =
+  | Root_scanner of ((Word.t -> Word.t) -> unit)
+      (** Called with the forwarding function; must apply it to every
+          root word it owns, storing back the results. *)
+  | Weak_scanner of ((Word.t -> Word.t option) -> unit)
+      (** Called after the weak pass, before from-space is freed, with a
+          lookup mapping an old word to its new location ([None] if
+          reclaimed).  Does not keep objects alive. *)
+  | After_gc of (t -> unit)
+      (** Called once the collection is complete ([in_collection] is
+          false again). *)
 
 val create : ?config:Config.t -> unit -> t
 val config : t -> Config.t
@@ -225,21 +247,15 @@ val read_cell : t -> int -> Word.t
 val write_cell : t -> int -> Word.t -> unit
 val free_cell : t -> int -> unit
 
-val add_scanner : t -> ((Word.t -> Word.t) -> unit) -> int
-(** Register a root scanner: during a collection it is called with the
-    forwarding function and must apply it to every root word it owns,
-    storing back the results.  Returns an id for {!remove_scanner}. *)
+val add_callback : t -> callback -> int
+(** Register a collection callback.  Returns an id for
+    {!remove_callback}. *)
 
-val remove_scanner : t -> int -> unit
+val remove_callback : t -> int -> unit
 
-val add_weak_scanner : t -> ((Word.t -> Word.t option) -> unit) -> int
-(** Register a weak scanner: called after each collection's weak pass with
-    a lookup mapping an old word to its new location ([None] if reclaimed).
-    Weak scanners do not keep objects alive. *)
-
-val remove_weak_scanner : t -> int -> unit
 val iter_scanners : t -> f:(((Word.t -> Word.t) -> unit) -> unit) -> unit
-val iter_weak_scanners : t -> f:(((Word.t -> Word.t option) -> unit) -> unit) -> unit
+(** Every root scanner: the global cells first, then each
+    {!Root_scanner}. *)
 
 val with_cell : t -> Word.t -> (int -> 'a) -> 'a
 (** Scoped temporary root cell. *)
@@ -248,20 +264,15 @@ val with_cell : t -> Word.t -> (int -> 'a) -> 'a
 
 val protected_add :
   t -> gid:int -> obj:Word.t -> rep:Word.t -> tconc:Word.t -> unit
-(** Add an entry to generation 0's protected list, as in the paper.
-    [gid] is the registering guardian's telemetry id ({!Guardian.id}). *)
+(** Add an entry to generation 0's protected list, as in the paper, and
+    count the registration.  [gid] is the registering guardian's id
+    ({!Guardian.id}). *)
 
 val protected_add_gen :
   t -> generation:int -> gid:int -> obj:Word.t -> rep:Word.t -> tconc:Word.t -> unit
 
 val protected_length : t -> int -> int
 val protected_total : t -> int
-
-(** {1 Post-GC hooks} *)
-
-val add_post_gc_hook : t -> (t -> unit) -> int
-val remove_post_gc_hook : t -> int -> unit
-val run_post_gc_hooks : t -> unit
 
 (** {1 Introspection} *)
 

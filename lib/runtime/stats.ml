@@ -1,38 +1,28 @@
-(** Work counters.
+(** Work counters: the heap's one counter registry.
 
     The paper's claims are complexity claims ("overhead proportional to the
     work already done", "proportional to the number of clean-up actions
     actually performed"), so the collector and the guardian machinery count
-    the work they do.  [per_gc] counters are reset at the start of each
-    collection; [totals] accumulate over the heap's lifetime. *)
+    the work they do.  Each collection gets a fresh [last] record, frozen
+    once the collection ends; [total] accumulates over the heap's
+    lifetime. *)
 
+(* Field documentation lives in the interface. *)
 type counters = {
   mutable collections : int;
   mutable objects_copied : int;
   mutable words_copied : int;
-  mutable words_swept : int;  (** words examined during Cheney scans *)
+  mutable words_swept : int;
   mutable root_words : int;
   mutable dirty_segments_scanned : int;
   mutable cards_scanned : int;
-      (** dirty cards visited by the card-granular dirty scan *)
   mutable card_words_swept : int;
-      (** words examined inside dirty cards — the actual dirty-scan work *)
   mutable dirty_candidate_words : int;
-      (** used words of the dirty segments scanned — what a
-          segment-granular scan would have examined; the
-          [card_words_swept / dirty_candidate_words] ratio is the card
-          table's win *)
   mutable guardian_pend_checks : int;
-      (** tconc accessibility checks performed by the guardian fixpoint;
-          O(1) amortized per pend-final entry with the worklist *)
   mutable protected_entries_visited : int;
-      (** entries of protected lists of the collected generations — the
-          guardian-specific collector overhead claimed to be proportional
-          to work already done *)
   mutable guardian_resurrections : int;
-      (** inaccessible registered objects saved and queued *)
   mutable guardian_entries_promoted : int;
-  mutable guardian_entries_dropped : int;  (** entries whose guardian died *)
+  mutable guardian_entries_dropped : int;
   mutable weak_pairs_scanned : int;
   mutable weak_pointers_broken : int;
   mutable ephemerons_scanned : int;
@@ -65,24 +55,114 @@ let zero () =
     segments_allocated = 0;
   }
 
-let copy c = { c with collections = c.collections }
+let fields =
+  [
+    ("collections", (fun c -> c.collections), fun c v -> c.collections <- v);
+    ("objects_copied", (fun c -> c.objects_copied), fun c v -> c.objects_copied <- v);
+    ("words_copied", (fun c -> c.words_copied), fun c v -> c.words_copied <- v);
+    ("words_swept", (fun c -> c.words_swept), fun c v -> c.words_swept <- v);
+    ("root_words", (fun c -> c.root_words), fun c v -> c.root_words <- v);
+    ( "dirty_segments_scanned",
+      (fun c -> c.dirty_segments_scanned),
+      fun c v -> c.dirty_segments_scanned <- v );
+    ("cards_scanned", (fun c -> c.cards_scanned), fun c v -> c.cards_scanned <- v);
+    ("card_words_swept", (fun c -> c.card_words_swept), fun c v -> c.card_words_swept <- v);
+    ( "dirty_candidate_words",
+      (fun c -> c.dirty_candidate_words),
+      fun c v -> c.dirty_candidate_words <- v );
+    ( "guardian_pend_checks",
+      (fun c -> c.guardian_pend_checks),
+      fun c v -> c.guardian_pend_checks <- v );
+    ( "protected_entries_visited",
+      (fun c -> c.protected_entries_visited),
+      fun c v -> c.protected_entries_visited <- v );
+    ( "guardian_resurrections",
+      (fun c -> c.guardian_resurrections),
+      fun c v -> c.guardian_resurrections <- v );
+    ( "guardian_entries_promoted",
+      (fun c -> c.guardian_entries_promoted),
+      fun c v -> c.guardian_entries_promoted <- v );
+    ( "guardian_entries_dropped",
+      (fun c -> c.guardian_entries_dropped),
+      fun c v -> c.guardian_entries_dropped <- v );
+    ( "weak_pairs_scanned",
+      (fun c -> c.weak_pairs_scanned),
+      fun c v -> c.weak_pairs_scanned <- v );
+    ( "weak_pointers_broken",
+      (fun c -> c.weak_pointers_broken),
+      fun c v -> c.weak_pointers_broken <- v );
+    ( "ephemerons_scanned",
+      (fun c -> c.ephemerons_scanned),
+      fun c v -> c.ephemerons_scanned <- v );
+    ("ephemerons_broken", (fun c -> c.ephemerons_broken), fun c v -> c.ephemerons_broken <- v);
+    ("segments_freed", (fun c -> c.segments_freed), fun c v -> c.segments_freed <- v);
+    ( "segments_allocated",
+      (fun c -> c.segments_allocated),
+      fun c v -> c.segments_allocated <- v );
+  ]
+
+let add ~into c = List.iter (fun (_, get, set) -> set into (get into + get c)) fields
+
+let pp_counters ppf c =
+  Format.fprintf ppf "@[<v>%a@]"
+    (Format.pp_print_list (fun ppf (name, get, _) ->
+         Format.fprintf ppf "%s %d" name (get c)))
+    fields
+
+(* ------------------------------------------------------------------ *)
+(* Per-guardian rows                                                   *)
+
+type guardian = {
+  gid : int;
+  mutable g_registrations : int;
+  mutable g_resurrections : int;
+  mutable g_drops : int;
+  mutable g_polls : int;
+  mutable g_hits : int;
+  mutable g_latency_sum : int;
+  mutable g_latency_max : int;
+  g_pending_epochs : int Queue.t;
+}
+
+let fresh_guardian gid =
+  {
+    gid;
+    g_registrations = 0;
+    g_resurrections = 0;
+    g_drops = 0;
+    g_polls = 0;
+    g_hits = 0;
+    g_latency_sum = 0;
+    g_latency_max = 0;
+    g_pending_epochs = Queue.create ();
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The registry                                                        *)
 
 type t = {
-  last : counters;  (** counters of the most recent collection *)
-  total : counters;  (** lifetime totals *)
-  mutable words_allocated : int;  (** mutator allocation, lifetime *)
+  mutable last : counters;
+  total : counters;
+  mutable words_allocated : int;
   mutable words_allocated_since_gc : int;
-  mutable guardian_polls : int;  (** mutator guardian invocations *)
-  mutable guardian_hits : int;  (** polls that returned an object *)
+  mutable guardian_polls : int;
+  mutable guardian_hits : int;
   mutable registrations : int;
-  mutable tconc_enqueues : int;  (** cells appended (collector and mutator) *)
-  mutable tconc_dequeues : int;  (** mutator removals that yielded an element *)
+  mutable tconc_enqueues : int;
+  mutable tconc_dequeues : int;
   (* Write-barrier counters live on the session, not on [last]: they count
-     mutator activity between collections, which [begin_collection] would
-     otherwise zero. *)
-  mutable barrier_calls : int;  (** {!Heap.note_mutation} invocations *)
-  mutable barrier_hits : int;  (** calls that stored an old-to-young pointer *)
-  mutable cards_dirtied : int;  (** cards taken from clean to dirty *)
+     mutator activity between collections. *)
+  mutable barrier_calls : int;
+  mutable barrier_hits : int;
+  mutable cards_dirtied : int;
+  mutable image_saves : int;
+  mutable image_loads : int;
+  mutable image_bytes_written : int;
+  mutable image_bytes_read : int;
+  mutable image_words_written : int;
+  mutable image_words_read : int;
+  mutable guardians : guardian array;
+  mutable nguardians : int;
 }
 
 let create () =
@@ -99,69 +179,80 @@ let create () =
     barrier_calls = 0;
     barrier_hits = 0;
     cards_dirtied = 0;
+    image_saves = 0;
+    image_loads = 0;
+    image_bytes_written = 0;
+    image_bytes_read = 0;
+    image_words_written = 0;
+    image_words_read = 0;
+    guardians = [||];
+    nguardians = 0;
   }
 
-let begin_collection t =
-  let l = t.last in
-  l.collections <- 1;
-  l.objects_copied <- 0;
-  l.words_copied <- 0;
-  l.words_swept <- 0;
-  l.root_words <- 0;
-  l.dirty_segments_scanned <- 0;
-  l.cards_scanned <- 0;
-  l.card_words_swept <- 0;
-  l.dirty_candidate_words <- 0;
-  l.guardian_pend_checks <- 0;
-  l.protected_entries_visited <- 0;
-  l.guardian_resurrections <- 0;
-  l.guardian_entries_promoted <- 0;
-  l.guardian_entries_dropped <- 0;
-  l.weak_pairs_scanned <- 0;
-  l.weak_pointers_broken <- 0;
-  l.ephemerons_scanned <- 0;
-  l.ephemerons_broken <- 0;
-  l.segments_freed <- 0;
-  l.segments_allocated <- 0
+let begin_collection t = t.last <- { (zero ()) with collections = 1 }
+let end_collection t = add ~into:t.total t.last
 
-let end_collection t =
-  let l = t.last and g = t.total in
-  g.collections <- g.collections + l.collections;
-  g.objects_copied <- g.objects_copied + l.objects_copied;
-  g.words_copied <- g.words_copied + l.words_copied;
-  g.words_swept <- g.words_swept + l.words_swept;
-  g.root_words <- g.root_words + l.root_words;
-  g.dirty_segments_scanned <- g.dirty_segments_scanned + l.dirty_segments_scanned;
-  g.cards_scanned <- g.cards_scanned + l.cards_scanned;
-  g.card_words_swept <- g.card_words_swept + l.card_words_swept;
-  g.dirty_candidate_words <- g.dirty_candidate_words + l.dirty_candidate_words;
-  g.guardian_pend_checks <- g.guardian_pend_checks + l.guardian_pend_checks;
-  g.protected_entries_visited <-
-    g.protected_entries_visited + l.protected_entries_visited;
-  g.guardian_resurrections <- g.guardian_resurrections + l.guardian_resurrections;
-  g.guardian_entries_promoted <-
-    g.guardian_entries_promoted + l.guardian_entries_promoted;
-  g.guardian_entries_dropped <-
-    g.guardian_entries_dropped + l.guardian_entries_dropped;
-  g.weak_pairs_scanned <- g.weak_pairs_scanned + l.weak_pairs_scanned;
-  g.weak_pointers_broken <- g.weak_pointers_broken + l.weak_pointers_broken;
-  g.ephemerons_scanned <- g.ephemerons_scanned + l.ephemerons_scanned;
-  g.ephemerons_broken <- g.ephemerons_broken + l.ephemerons_broken;
-  g.segments_freed <- g.segments_freed + l.segments_freed;
-  g.segments_allocated <- g.segments_allocated + l.segments_allocated
+let new_guardian t =
+  let gid = t.nguardians in
+  if gid = Array.length t.guardians then begin
+    let rows = Array.make (max 8 (2 * gid)) (fresh_guardian (-1)) in
+    Array.blit t.guardians 0 rows 0 gid;
+    t.guardians <- rows
+  end;
+  t.guardians.(gid) <- fresh_guardian gid;
+  t.nguardians <- gid + 1;
+  gid
 
-let pp_counters ppf c =
-  Format.fprintf ppf
-    "@[<v>collections %d@ objects copied %d@ words copied %d@ words swept %d@ \
-     root words %d@ dirty segments %d@ cards scanned %d@ card words swept %d@ \
-     dirty candidate words %d@ guardian pend checks %d@ protected entries \
-     visited %d@ resurrections %d@ entries promoted %d@ entries dropped %d@ \
-     weak pairs scanned %d@ weak pointers broken %d@ ephemerons scanned %d@ \
-     ephemerons broken %d@ segments freed %d@ segments allocated %d@]"
-    c.collections c.objects_copied c.words_copied c.words_swept c.root_words
-    c.dirty_segments_scanned c.cards_scanned c.card_words_swept
-    c.dirty_candidate_words c.guardian_pend_checks c.protected_entries_visited
-    c.guardian_resurrections c.guardian_entries_promoted
-    c.guardian_entries_dropped c.weak_pairs_scanned c.weak_pointers_broken
-    c.ephemerons_scanned c.ephemerons_broken c.segments_freed
-    c.segments_allocated
+let guardian_count t = t.nguardians
+
+let guardian t gid =
+  if gid < 0 || gid >= t.nguardians then invalid_arg "Stats.guardian: unknown guardian id";
+  t.guardians.(gid)
+
+let restore_guardian_count t n =
+  while guardian_count t < n do
+    ignore (new_guardian t)
+  done
+
+let count_registration t ~gid =
+  let g = guardian t gid in
+  t.registrations <- t.registrations + 1;
+  g.g_registrations <- g.g_registrations + 1
+
+let count_poll t ~gid ~hit ~epoch =
+  let g = guardian t gid in
+  t.guardian_polls <- t.guardian_polls + 1;
+  g.g_polls <- g.g_polls + 1;
+  if hit then begin
+    t.guardian_hits <- t.guardian_hits + 1;
+    g.g_hits <- g.g_hits + 1;
+    if not (Queue.is_empty g.g_pending_epochs) then begin
+      let latency = max 0 (epoch - Queue.pop g.g_pending_epochs) in
+      g.g_latency_sum <- g.g_latency_sum + latency;
+      if latency > g.g_latency_max then g.g_latency_max <- latency
+    end
+  end
+
+let count_resurrection t ~gid ~epoch =
+  let g = guardian t gid in
+  t.last.guardian_resurrections <- t.last.guardian_resurrections + 1;
+  g.g_resurrections <- g.g_resurrections + 1;
+  (* The tconc is FIFO and only the guardian's retrieve dequeues it, so a
+     plain queue of resurrection epochs stays aligned with the queued
+     objects. *)
+  Queue.push epoch g.g_pending_epochs
+
+let count_drop t ~gid =
+  let g = guardian t gid in
+  t.last.guardian_entries_dropped <- t.last.guardian_entries_dropped + 1;
+  g.g_drops <- g.g_drops + 1
+
+let count_image_save t ~bytes ~words =
+  t.image_saves <- t.image_saves + 1;
+  t.image_bytes_written <- t.image_bytes_written + bytes;
+  t.image_words_written <- t.image_words_written + words
+
+let count_image_load t ~bytes ~words =
+  t.image_loads <- t.image_loads + 1;
+  t.image_bytes_read <- t.image_bytes_read + bytes;
+  t.image_words_read <- t.image_words_read + words

@@ -17,19 +17,21 @@ type t = {
 let create heap =
   let table = Hashtbl.create 64 in
   let scanner_id =
-    Heap.add_weak_scanner heap (fun lookup ->
-        let dead = ref [] in
-        Hashtbl.iter
-          (fun name e ->
-            match lookup e.word with
-            | Some w -> e.word <- w
-            | None -> dead := name :: !dead)
-          table;
-        List.iter (Hashtbl.remove table) !dead)
+    Heap.add_callback heap
+      (Heap.Weak_scanner
+         (fun lookup ->
+           let dead = ref [] in
+           Hashtbl.iter
+             (fun name e ->
+               match lookup e.word with
+               | Some w -> e.word <- w
+               | None -> dead := name :: !dead)
+             table;
+           List.iter (Hashtbl.remove table) !dead))
   in
   { heap; table; scanner_id }
 
-let dispose t = Heap.remove_weak_scanner t.heap t.scanner_id
+let dispose t = Heap.remove_callback t.heap t.scanner_id
 
 (** Intern [name]: return the existing symbol or create one. *)
 let intern t name =

@@ -5,7 +5,8 @@
     - {e zero cost when disabled}: every collector-side entry point
       checks [t.on] before taking a timestamp or building an event;
     - no dependency on {!Heap} (the heap owns a [Telemetry.t]), only on
-      {!Stats} and {!Unix_time};
+      {!Stats} and {!Unix_time}, and no counters of its own: every count
+      lives in {!Stats};
     - sinks are plain [event -> unit] closures, registered with ids so
       they can be detached independently. *)
 
@@ -97,10 +98,6 @@ type event =
       duration_ns : float;
       counters : Stats.counters;
       live_words : int;
-      barrier_calls : int;
-          (** lifetime write-barrier invocations (session counter) *)
-      barrier_hits : int;  (** lifetime old-to-young stores *)
-      cards_dirtied : int;  (** lifetime clean-to-dirty card transitions *)
     }
 
 type sink = event -> unit
@@ -170,21 +167,6 @@ module Histogram = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Per-guardian metrics                                                *)
-
-type guardian_stats = {
-  gid : int;
-  mutable g_registrations : int;
-  mutable g_resurrections : int;
-  mutable g_drops : int;
-  mutable g_polls : int;
-  mutable g_hits : int;
-  mutable g_latency_sum : int;
-  mutable g_latency_max : int;
-  g_pending_epochs : int Queue.t;
-}
-
-(* ------------------------------------------------------------------ *)
 (* The hub                                                             *)
 
 type t = {
@@ -204,17 +186,6 @@ type t = {
   phase_total_work : int array;
   mutable collections_seen : int;
   pauses : Histogram.t;
-  mutable guardians : guardian_stats array;  (** indexed by gid *)
-  mutable nguardians : int;
-  (* Heap-image I/O counters: plain bumps, always on (like the guardian
-     metrics), so an image round-trip is visible even when phase timing
-     is disabled. *)
-  mutable img_saves : int;
-  mutable img_loads : int;
-  mutable img_bytes_written : int;
-  mutable img_bytes_read : int;
-  mutable img_words_written : int;
-  mutable img_words_read : int;
 }
 
 type telemetry = t
@@ -235,14 +206,6 @@ let create () =
     phase_total_work = Array.make phase_count 0;
     collections_seen = 0;
     pauses = Histogram.create ();
-    guardians = [||];
-    nguardians = 0;
-    img_saves = 0;
-    img_loads = 0;
-    img_bytes_written = 0;
-    img_bytes_read = 0;
-    img_words_written = 0;
-    img_words_read = 0;
   }
 
 let set_enabled t b = t.on <- b
@@ -290,8 +253,7 @@ let phase_end t phase ~work =
       (Phase_end { ordinal = t.cur_ordinal; phase; at_ns = now; duration_ns; work })
   end
 
-let collection_end t ~counters ~live_words ?(barrier_calls = 0)
-    ?(barrier_hits = 0) ?(cards_dirtied = 0) () =
+let collection_end t ~counters ~live_words =
   if t.on then begin
     let now = Unix_time.now_ns () in
     let duration_ns = Float.max 0. (now -. t.cur_begin_ns) in
@@ -307,9 +269,6 @@ let collection_end t ~counters ~live_words ?(barrier_calls = 0)
            duration_ns;
            counters;
            live_words;
-           barrier_calls;
-           barrier_hits;
-           cards_dirtied;
          })
   end
 
@@ -319,121 +278,6 @@ let phase_work_last t phase = t.phase_last_work.(phase_index phase)
 let phase_ns_total t phase = t.phase_total_ns.(phase_index phase)
 let phase_work_total t phase = t.phase_total_work.(phase_index phase)
 let pause_histogram t = t.pauses
-
-(* ------------------------------------------------------------------ *)
-(* Per-guardian metrics                                                *)
-
-let new_guardian t =
-  let gid = t.nguardians in
-  if gid = Array.length t.guardians then begin
-    let cap = max 8 (2 * Array.length t.guardians) in
-    let dummy =
-      {
-        gid = -1;
-        g_registrations = 0;
-        g_resurrections = 0;
-        g_drops = 0;
-        g_polls = 0;
-        g_hits = 0;
-        g_latency_sum = 0;
-        g_latency_max = 0;
-        g_pending_epochs = Queue.create ();
-      }
-    in
-    let gs = Array.make cap dummy in
-    Array.blit t.guardians 0 gs 0 t.nguardians;
-    t.guardians <- gs
-  end;
-  t.guardians.(gid) <-
-    {
-      gid;
-      g_registrations = 0;
-      g_resurrections = 0;
-      g_drops = 0;
-      g_polls = 0;
-      g_hits = 0;
-      g_latency_sum = 0;
-      g_latency_max = 0;
-      g_pending_epochs = Queue.create ();
-    };
-  t.nguardians <- gid + 1;
-  gid
-
-let guardian_count t = t.nguardians
-
-let guardian_stats t gid =
-  if gid < 0 || gid >= t.nguardians then
-    invalid_arg "Telemetry.guardian_stats: unknown guardian id";
-  t.guardians.(gid)
-
-let record_registration t ~gid =
-  let g = guardian_stats t gid in
-  g.g_registrations <- g.g_registrations + 1
-
-let record_resurrection t ~gid ~epoch =
-  let g = guardian_stats t gid in
-  g.g_resurrections <- g.g_resurrections + 1;
-  (* The tconc is FIFO and only the guardian's retrieve dequeues it, so a
-     plain queue of resurrection epochs stays aligned with the queued
-     objects. *)
-  Queue.push epoch g.g_pending_epochs
-
-let record_drop t ~gid =
-  let g = guardian_stats t gid in
-  g.g_drops <- g.g_drops + 1
-
-let record_poll t ~gid ~hit ~epoch =
-  let g = guardian_stats t gid in
-  g.g_polls <- g.g_polls + 1;
-  if hit then begin
-    g.g_hits <- g.g_hits + 1;
-    if not (Queue.is_empty g.g_pending_epochs) then begin
-      let resurrected_at = Queue.pop g.g_pending_epochs in
-      let latency = max 0 (epoch - resurrected_at) in
-      g.g_latency_sum <- g.g_latency_sum + latency;
-      if latency > g.g_latency_max then g.g_latency_max <- latency
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Heap-image I/O counters                                             *)
-
-type image_counters = {
-  saves : int;
-  loads : int;
-  bytes_written : int;
-  bytes_read : int;
-  words_written : int;
-  words_read : int;
-}
-
-let record_image_save t ~bytes ~words =
-  t.img_saves <- t.img_saves + 1;
-  t.img_bytes_written <- t.img_bytes_written + bytes;
-  t.img_words_written <- t.img_words_written + words
-
-let record_image_load t ~bytes ~words =
-  t.img_loads <- t.img_loads + 1;
-  t.img_bytes_read <- t.img_bytes_read + bytes;
-  t.img_words_read <- t.img_words_read + words
-
-let image_counters t =
-  {
-    saves = t.img_saves;
-    loads = t.img_loads;
-    bytes_written = t.img_bytes_written;
-    bytes_read = t.img_bytes_read;
-    words_written = t.img_words_written;
-    words_read = t.img_words_read;
-  }
-
-let restore_guardian_count t n =
-  (* Re-create the id space of a restored heap image: guardian objects in
-     the image carry gids in [0 .. n); each must resolve in
-     [guardian_stats] before any post-restore registration. *)
-  while t.nguardians < n do
-    ignore (new_guardian t)
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Ring sink                                                           *)
@@ -524,20 +368,10 @@ end
 (* Human log sink                                                      *)
 
 module Log = struct
-  let attach tel ppf =
+  let attach tel stats ppf =
     add_sink tel (function
       | Collection_end
-          {
-            ordinal;
-            generation;
-            target;
-            duration_ns;
-            counters;
-            live_words;
-            barrier_calls;
-            barrier_hits;
-            _;
-          } ->
+          { ordinal; generation; target; duration_ns; counters; live_words; _ } ->
           Format.fprintf ppf "[gc #%d] gen %d->%d %.1fus |" ordinal generation
             target (duration_ns /. 1e3);
           List.iter
@@ -550,9 +384,9 @@ module Log = struct
             " | cards %d/%dsegs barrier %d/%d (%.1f%%) | copied %dw/%do \
              resurrected %d live %dw@."
             counters.Stats.cards_scanned counters.Stats.dirty_segments_scanned
-            barrier_hits barrier_calls
-            (100.0 *. float_of_int barrier_hits
-            /. float_of_int (max 1 barrier_calls))
+            stats.Stats.barrier_hits stats.Stats.barrier_calls
+            (100.0 *. float_of_int stats.Stats.barrier_hits
+            /. float_of_int (max 1 stats.Stats.barrier_calls))
             counters.Stats.words_copied counters.Stats.objects_copied
             counters.Stats.guardian_resurrections live_words
       | _ -> ())
@@ -626,19 +460,8 @@ module Chrome = struct
             [ ("work", string_of_int work) ]
       | Collection_end { at_ns; counters; live_words; _ } ->
           write_event w ~name:"collection" ~ph:"E" ~at_ns
-            [
-              ("words_copied", string_of_int counters.Stats.words_copied);
-              ("objects_copied", string_of_int counters.Stats.objects_copied);
-              ( "entries_visited",
-                string_of_int counters.Stats.protected_entries_visited );
-              ( "resurrections",
-                string_of_int counters.Stats.guardian_resurrections );
-              ("weak_broken", string_of_int counters.Stats.weak_pointers_broken);
-              ("cards_scanned", string_of_int counters.Stats.cards_scanned);
-              ( "card_words_swept",
-                string_of_int counters.Stats.card_words_swept );
-              ("live_words", string_of_int live_words);
-            ]
+            (List.map (fun (name, get, _) -> (name, string_of_int (get counters))) Stats.fields
+            @ [ ("live_words", string_of_int live_words) ])
     in
     w.sink_id <- add_sink tel sink;
     w

@@ -11,9 +11,9 @@
 
     The stream is {e zero cost when disabled}: every instrumentation entry
     point checks a single boolean before taking any timestamp or touching
-    any sink.  Per-guardian lifecycle metrics (registrations,
-    resurrections, poll latency, drops) are plain counter bumps and are
-    always on. *)
+    any sink.  Telemetry keeps clocks and events only; every count
+    (per-collection, lifetime, per-guardian, image I/O) lives in
+    {!Stats}. *)
 
 (** {1 Phases} *)
 
@@ -66,12 +66,10 @@ type event =
       target : int;
       at_ns : float;
       duration_ns : float;
-      counters : Stats.counters;  (** snapshot of the collection's counters *)
+      counters : Stats.counters;
+          (** the collection's own [last] record, frozen once the
+              collection ends *)
       live_words : int;
-      barrier_calls : int;
-          (** lifetime write-barrier invocations (session counter) *)
-      barrier_hits : int;  (** lifetime old-to-young stores *)
-      cards_dirtied : int;  (** lifetime clean-to-dirty card transitions *)
     }
 
 type sink = event -> unit
@@ -133,18 +131,9 @@ val collection_begin : t -> ordinal:int -> generation:int -> target:int -> unit
 val phase_begin : t -> phase -> unit
 val phase_end : t -> phase -> work:int -> unit
 
-val collection_end :
-  t ->
-  counters:Stats.counters ->
-  live_words:int ->
-  ?barrier_calls:int ->
-  ?barrier_hits:int ->
-  ?cards_dirtied:int ->
-  unit ->
-  unit
-(** [counters] must be a private snapshot (see {!Stats.copy}): sinks may
-    retain it.  The barrier arguments are the session-lifetime
-    write-barrier counters at the end of this collection (default 0). *)
+val collection_end : t -> counters:Stats.counters -> live_words:int -> unit
+(** [counters] must not change afterwards (the collection's [last]
+    record qualifies): sinks may retain it. *)
 
 (** {2 Accumulated results} *)
 
@@ -156,69 +145,6 @@ val phase_work_total : t -> phase -> int
 
 val pause_histogram : t -> Histogram.t
 (** Full-collection pause times, accumulated while enabled. *)
-
-(** {1 Per-guardian lifecycle metrics}
-
-    Always on (plain counter bumps).  Guardians are identified by a small
-    integer id allocated by {!new_guardian} and stored inside the guardian
-    heap object itself, so the id survives copying collections. *)
-
-type guardian_stats = {
-  gid : int;
-  mutable g_registrations : int;
-  mutable g_resurrections : int;  (** entries saved and queued *)
-  mutable g_drops : int;  (** entries dropped because the guardian died *)
-  mutable g_polls : int;  (** mutator retrieve calls *)
-  mutable g_hits : int;  (** polls that returned an object *)
-  mutable g_latency_sum : int;
-      (** total collections elapsed between each hit's resurrection and
-          its retrieval — the finalization-lag metric *)
-  mutable g_latency_max : int;
-  g_pending_epochs : int Queue.t;
-      (** resurrection epochs of queued-but-not-yet-retrieved entries;
-          FIFO, mirroring the guardian's tconc *)
-}
-
-val new_guardian : t -> int
-val guardian_count : t -> int
-
-val guardian_stats : t -> int -> guardian_stats
-(** @raise Invalid_argument on an id never returned by {!new_guardian}. *)
-
-val record_registration : t -> gid:int -> unit
-
-val record_resurrection : t -> gid:int -> epoch:int -> unit
-(** [epoch] is the heap's gc-epoch {e after} the resurrecting collection,
-    so an immediate retrieval reads as latency 0. *)
-
-val record_drop : t -> gid:int -> unit
-val record_poll : t -> gid:int -> hit:bool -> epoch:int -> unit
-
-val restore_guardian_count : t -> int -> unit
-(** [restore_guardian_count t n] re-creates the guardian-id space of a
-    restored heap image: after it, ids [0 .. n-1] resolve in
-    {!guardian_stats} (existing ids keep their metrics).  A no-op when
-    [n <= guardian_count t]. *)
-
-(** {1 Heap-image I/O counters}
-
-    Always on (plain counter bumps), accumulated by {e every}
-    image save/load against this hub.  The wall-clock side of image I/O
-    uses the {!Image_save}/{!Image_load} phases and is gated on the
-    enable flag like any other phase. *)
-
-type image_counters = {
-  saves : int;
-  loads : int;
-  bytes_written : int;  (** total on-disk bytes produced by saves *)
-  bytes_read : int;  (** total image bytes consumed by loads *)
-  words_written : int;  (** live heap words serialized *)
-  words_read : int;  (** heap words rebuilt by loads *)
-}
-
-val record_image_save : t -> bytes:int -> words:int -> unit
-val record_image_load : t -> bytes:int -> words:int -> unit
-val image_counters : t -> image_counters
 
 (** {1 Sinks} *)
 
@@ -250,16 +176,19 @@ module Ring : sig
 end
 
 module Log : sig
-  val attach : telemetry -> Format.formatter -> int
-  (** One human-readable line per collection on the given formatter;
-      returns the sink id (detach with {!remove_sink}). *)
+  val attach : telemetry -> Stats.t -> Format.formatter -> int
+  (** One human-readable line per collection on the given formatter,
+      with the session's write-barrier counters read from the given
+      registry; returns the sink id (detach with {!remove_sink}). *)
 end
 
 module Chrome : sig
   (** Chrome [trace_event] JSON writer: a top-level array of [B]/[E]
       event objects with microsecond timestamps, suitable for
       [about://tracing] and Perfetto.  Hand-rolled JSON, no
-      dependencies. *)
+      dependencies.  A collection's closing event carries every
+      {!Stats.fields} counter of that collection, under its canonical
+      name, plus [live_words]. *)
 
   type t
 

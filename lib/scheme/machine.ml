@@ -110,11 +110,11 @@ let create ?(ctx : Gbc.Ctx.t option) ?config () =
     Vec.Poly.iter m.control ~f:(fun f -> f.ret_clos <- rewrite f.ret_clos);
     Vec.Int.iteri m.consts ~f:(fun i w -> Vec.Int.set m.consts i (rewrite w))
   in
-  m.scanner_id <- Heap.add_scanner heap scanner;
+  m.scanner_id <- Heap.add_callback heap (Heap.Root_scanner scanner);
   m
 
 let dispose m =
-  Heap.remove_scanner m.heap m.scanner_id;
+  Heap.remove_callback m.heap m.scanner_id;
   Option.iter Telemetry.Ring.detach m.gc_ring;
   m.gc_ring <- None
 

@@ -348,13 +348,13 @@ let install (m : Machine.t) =
           latency-max pending) for one guardian. *)
       let gs = Guardian.stats h (want_guardian "guardian-stats" h g) in
       let v = Obj.make_vector h ~len:8 ~init:(Word.of_fixnum 0) in
-      Obj.vector_set h v 0 (Word.of_fixnum gs.Telemetry.g_registrations);
-      Obj.vector_set h v 1 (Word.of_fixnum gs.Telemetry.g_resurrections);
-      Obj.vector_set h v 2 (Word.of_fixnum gs.Telemetry.g_drops);
-      Obj.vector_set h v 3 (Word.of_fixnum gs.Telemetry.g_polls);
-      Obj.vector_set h v 4 (Word.of_fixnum gs.Telemetry.g_hits);
-      Obj.vector_set h v 5 (Word.of_fixnum gs.Telemetry.g_latency_sum);
-      Obj.vector_set h v 6 (Word.of_fixnum gs.Telemetry.g_latency_max);
+      Obj.vector_set h v 0 (Word.of_fixnum gs.Stats.g_registrations);
+      Obj.vector_set h v 1 (Word.of_fixnum gs.Stats.g_resurrections);
+      Obj.vector_set h v 2 (Word.of_fixnum gs.Stats.g_drops);
+      Obj.vector_set h v 3 (Word.of_fixnum gs.Stats.g_polls);
+      Obj.vector_set h v 4 (Word.of_fixnum gs.Stats.g_hits);
+      Obj.vector_set h v 5 (Word.of_fixnum gs.Stats.g_latency_sum);
+      Obj.vector_set h v 6 (Word.of_fixnum gs.Stats.g_latency_max);
       Obj.vector_set h v 7 (Word.of_fixnum (Guardian.pending_count h g));
       v);
   p1 "eq-hash" (fun _ w -> Word.of_fixnum (Obj.eq_hash w land 0xFFFFFFFF));

@@ -91,14 +91,16 @@ type st = {
    once per heap — again after every checkpoint swap. *)
 let register_tracker st =
   ignore
-    (Heap.add_weak_scanner st.h (fun lookup ->
-         for i = 0 to st.nnodes - 1 do
-           let tr = st.nodes.(i) in
-           if tr.halive then
-             match lookup tr.word with
-             | Some w -> tr.word <- w
-             | None -> tr.halive <- false
-         done)
+    (Heap.add_callback st.h
+       (Heap.Weak_scanner
+          (fun lookup ->
+            for i = 0 to st.nnodes - 1 do
+              let tr = st.nodes.(i) in
+              if tr.halive then
+                match lookup tr.word with
+                | Some w -> tr.word <- w
+                | None -> tr.halive <- false
+            done))
       : int)
 
 let new_state config =
@@ -217,6 +219,31 @@ let compare_all st ~gen:_ =
 
 let max_gen st = Heap.max_generation st.h
 
+(* One registry, one set of numbers: the per-guardian rows must sum to the
+   heap-wide counters they break down. *)
+let check_guardian_rows st =
+  let s = Heap.stats st.h in
+  let sum f =
+    let n = ref 0 in
+    for gid = 0 to Stats.guardian_count s - 1 do
+      n := !n + f (Stats.guardian s gid)
+    done;
+    !n
+  in
+  List.iter
+    (fun (what, rows, total) ->
+      if rows <> total then
+        failf "stats: per-guardian %s sum to %d, heap-wide count is %d" what rows total)
+    [
+      ("registrations", sum (fun g -> g.Stats.g_registrations), s.Stats.registrations);
+      ("polls", sum (fun g -> g.Stats.g_polls), s.Stats.guardian_polls);
+      ("hits", sum (fun g -> g.Stats.g_hits), s.Stats.guardian_hits);
+      ( "resurrections",
+        sum (fun g -> g.Stats.g_resurrections),
+        s.Stats.total.Stats.guardian_resurrections );
+      ("drops", sum (fun g -> g.Stats.g_drops), s.Stats.total.Stats.guardian_entries_dropped);
+    ]
+
 let do_collect st gen =
   let roots = Array.to_list (rooted_ids st) in
   st.collections <- st.collections + 1;
@@ -234,14 +261,17 @@ let do_collect st gen =
      partition kept for entries whose guardian then died. *)
   if gen = max_gen st then begin
     let reps = List.map (word_of st) dropped_reps in
-    let id = Heap.add_scanner st.h (fun f -> List.iter (fun w -> ignore (f w)) reps) in
+    let id =
+      Heap.add_callback st.h (Heap.Root_scanner (fun f -> List.iter (fun w -> ignore (f w)) reps))
+    in
     let slack =
       Fun.protect
-        ~finally:(fun () -> Heap.remove_scanner st.h id)
+        ~finally:(fun () -> Heap.remove_callback st.h id)
         (fun () -> Census.slack (Census.run st.h))
     in
     if slack <> 0 then failf "census: %d unreachable words survived a full collection" slack
   end;
+  check_guardian_rows st;
   compare_all st ~gen
 
 (* ------------------------------------------------------------------ *)
@@ -442,6 +472,7 @@ let rec interp st op =
       st.checkpoints <- st.checkpoints + 1;
       if (Heap.config st.h).Config.image_verify_on_load then
         st.verify_checks <- st.verify_checks + 1;
+      check_guardian_rows st;
       compare_all st ~gen:0
   | Collect sel -> do_collect st (collect_gen st sel)
 

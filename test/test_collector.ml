@@ -297,6 +297,56 @@ let test_pinned_counters () =
       ("segments_allocated", 13, t.Stats.segments_allocated);
     ]
 
+(* A collection's record is its own: mutator segment acquisitions
+   between collections leave it alone, and the lifetime totals count the
+   same work as before the record was frozen (values captured from the
+   pre-freeze collector, which bumped [last] on every acquisition). *)
+let test_last_frozen () =
+  let h = Heap.create () in
+  let _keep = Heap.new_cell h (Obj.list_of h (List.map fx [ 1; 2; 3 ])) in
+  ignore (Collector.collect h ~gen:0);
+  let s = Heap.stats h in
+  let values () = List.map (fun (_, get, _) -> get s.Stats.last) Stats.fields in
+  let before = values () in
+  for i = 1 to 200_000 do
+    ignore (Obj.cons h (fx i) Word.nil)
+  done;
+  let _young = Heap.new_cell h (Obj.list_of h (List.init 1000 fx)) in
+  Alcotest.(check (list int)) "last unchanged by the mutator" before (values ());
+  ignore (Collector.collect h ~gen:0);
+  check_int "total segments_allocated" 5 s.Stats.total.Stats.segments_allocated;
+  check_int "total segments_freed" 787 s.Stats.total.Stats.segments_freed
+
+(* A raising root scanner, weak scanner or after-GC hook: the collection
+   still completes (other callbacks run, the counters close), [collect]
+   re-raises, and the heap is usable and consistent afterwards. *)
+exception Boom
+
+let test_raising_callback () =
+  List.iter
+    (fun (kind, cb) ->
+      let h = Heap.create ~config:cfg () in
+      let c = Heap.new_cell h (Obj.cons h (fx 1) (fx 2)) in
+      let hook_runs = ref 0 in
+      ignore (Heap.add_callback h (Heap.After_gc (fun _ -> incr hook_runs)));
+      let id = Heap.add_callback h cb in
+      (match Collector.collect h ~gen:0 with
+      | _ -> Alcotest.failf "%s: collect did not raise" kind
+      | exception Boom -> ());
+      check (kind ^ ": collection closed") false h.Heap.in_collection;
+      check_int (kind ^ ": other hook ran") 1 !hook_runs;
+      check_int (kind ^ ": counted") 1 (Heap.stats h).Stats.total.Stats.collections;
+      check (kind ^ ": verify clean") true (Verify.verify h = []);
+      Heap.remove_callback h id;
+      ignore (Collector.collect h ~gen:(Heap.max_generation h));
+      check (kind ^ ": verify clean after next collect") true (Verify.verify h = []);
+      check_int (kind ^ ": root intact") 1 (Word.to_fixnum (Obj.car h (Heap.read_cell h c))))
+    [
+      ("root scanner", Heap.Root_scanner (fun _ -> raise Boom));
+      ("weak scanner", Heap.Weak_scanner (fun _ -> raise Boom));
+      ("after-GC hook", Heap.After_gc (fun _ -> raise Boom));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Random graph preservation                                           *)
 
@@ -425,6 +475,8 @@ let () =
           Alcotest.test_case "collect-request handler" `Quick test_collect_request_handler;
           Alcotest.test_case "segment reuse" `Quick test_segment_reuse;
           Alcotest.test_case "pinned work counters" `Quick test_pinned_counters;
+          Alcotest.test_case "last record frozen" `Quick test_last_frozen;
+          Alcotest.test_case "raising callback" `Quick test_raising_callback;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -248,14 +248,14 @@ let test_per_guardian_lifecycle_stats () =
   ignore (Guardian.retrieve h (Handle.get g));
   ignore (Guardian.retrieve h (Handle.get g));
   let s = Guardian.stats h (Handle.get g) in
-  check_int "registrations" 2 s.Telemetry.g_registrations;
-  check_int "resurrections" 2 s.Telemetry.g_resurrections;
-  check_int "polls" 3 s.Telemetry.g_polls;
-  check_int "hits" 2 s.Telemetry.g_hits;
+  check_int "registrations" 2 s.Stats.g_registrations;
+  check_int "resurrections" 2 s.Stats.g_resurrections;
+  check_int "polls" 3 s.Stats.g_polls;
+  check_int "hits" 2 s.Stats.g_hits;
   (* The other guardian saw none of this. *)
   let s' = Guardian.stats h (Handle.get other) in
-  check_int "other untouched" 0 s'.Telemetry.g_polls;
-  check_int "other no registrations" 0 s'.Telemetry.g_registrations
+  check_int "other untouched" 0 s'.Stats.g_polls;
+  check_int "other no registrations" 0 s'.Stats.g_registrations
 
 let test_poll_latency () =
   (* Latency counts the collections between an entry's resurrection and
@@ -270,28 +270,27 @@ let test_poll_latency () =
   full_collect h;
   check "late retrieval hits" true (Guardian.retrieve h (Handle.get g) <> None);
   let s = Guardian.stats h (Handle.get g) in
-  check_int "latency of late retrieval" 2 s.Telemetry.g_latency_sum;
-  check_int "latency max" 2 s.Telemetry.g_latency_max;
+  check_int "latency of late retrieval" 2 s.Stats.g_latency_sum;
+  check_int "latency max" 2 s.Stats.g_latency_max;
   Guardian.register h (Handle.get g) (Obj.cons h (fx 2) Word.nil);
   full_collect h;
   check "prompt retrieval hits" true (Guardian.retrieve h (Handle.get g) <> None);
   let s = Guardian.stats h (Handle.get g) in
-  check_int "prompt retrieval adds no latency" 2 s.Telemetry.g_latency_sum;
-  check_int "latency max unchanged" 2 s.Telemetry.g_latency_max
+  check_int "prompt retrieval adds no latency" 2 s.Stats.g_latency_sum;
+  check_int "latency max unchanged" 2 s.Stats.g_latency_max
 
 let test_drop_counted_per_guardian () =
   (* A dead guardian's pending entries count as drops on its stats. *)
   let h = heap () in
-  let tel = Heap.telemetry h in
   let g = Guardian.make h in
   let gid = Guardian.id h g in
   Guardian.register h g (Obj.cons h (fx 1) Word.nil);
   Guardian.register h g (Obj.cons h (fx 2) Word.nil);
   (* Drop the guardian itself; both registered objects die with it. *)
   full_collect h;
-  let s = Telemetry.guardian_stats tel gid in
-  check_int "both entries dropped" 2 s.Telemetry.g_drops;
-  check_int "no resurrections" 0 s.Telemetry.g_resurrections
+  let s = Stats.guardian (Heap.stats h) gid in
+  check_int "both entries dropped" 2 s.Stats.g_drops;
+  check_int "no resurrections" 0 s.Stats.g_resurrections
 
 let test_entries_promoted_with_object () =
   (* A live registration's protected entry moves to the target generation:

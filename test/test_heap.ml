@@ -122,10 +122,12 @@ let test_boxes_records_flonums () =
 let test_scanner_registration () =
   let h = Heap.create () in
   let my_root = ref (Obj.cons h (Word.of_fixnum 11) Word.nil) in
-  let id = Heap.add_scanner h (fun rewrite -> my_root := rewrite !my_root) in
+  let id =
+    Heap.add_callback h (Heap.Root_scanner (fun rewrite -> my_root := rewrite !my_root))
+  in
   ignore (Collector.collect h ~gen:0);
   check_int "scanner kept object" 11 (Word.to_fixnum (Obj.car h !my_root));
-  Heap.remove_scanner h id;
+  Heap.remove_callback h id;
   (* Without the scanner the object is garbage; nothing to assert beyond no
      crash. *)
   ignore (Collector.collect h ~gen:0)

@@ -354,16 +354,16 @@ let test_telemetry_counters () =
   let h = heap () in
   ignore (Obj.cons h (fx 1) Word.nil);
   let s = Image.save_string h in
-  let c = Telemetry.image_counters (Heap.telemetry h) in
-  check_int "one save" 1 c.Telemetry.saves;
-  check_int "bytes counted" (String.length s) c.Telemetry.bytes_written;
-  check "words counted" true (c.Telemetry.words_written > 0);
+  let c = Heap.stats h in
+  check_int "one save" 1 c.Stats.image_saves;
+  check_int "bytes counted" (String.length s) c.Stats.image_bytes_written;
+  check "words counted" true (c.Stats.image_words_written > 0);
   let l = Image.load_string ~config:(Heap.config h) s in
-  let c' = Telemetry.image_counters (Heap.telemetry l.Image.heap) in
-  check_int "one load" 1 c'.Telemetry.loads;
-  check_int "bytes read" (String.length s) c'.Telemetry.bytes_read;
-  check_int "words read = words written" c.Telemetry.words_written
-    c'.Telemetry.words_read
+  let c' = Heap.stats l.Image.heap in
+  check_int "one load" 1 c'.Stats.image_loads;
+  check_int "bytes read" (String.length s) c'.Stats.image_bytes_read;
+  check_int "words read = words written" c.Stats.image_words_written
+    c'.Stats.image_words_read
 
 (* ------------------------------------------------------------------ *)
 (* Rejection paths                                                     *)

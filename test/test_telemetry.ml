@@ -370,7 +370,7 @@ let test_chrome_json_round_trips () =
         then
           match Json.member "args" e with
           | Some args -> (
-              match Json.member "resurrections" args with
+              match Json.member "guardian_resurrections" args with
               | Some (Json.Num x) -> Some (int_of_float x)
               | _ -> None)
           | None -> None
