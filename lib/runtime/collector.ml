@@ -52,72 +52,88 @@ type outcome = {
    object, and [Word.forward_marker] for an object not (yet) copied.  The
    marker is never a stored value (Verify rejects it), so it is a
    non-allocating "not forwarded" answer. *)
-let resolve t w =
-  if (not (Word.is_pointer w)) || not (info_of_word t w).condemned then w
-  else if Word.equal (load t (Word.addr w)) Word.forward_marker then load t (Word.addr w + 1)
-  else Word.forward_marker
+let[@inline] resolve t w =
+  if not (Word.is_pointer w) then w
+  else begin
+    let addr = Word.addr w in
+    let seg = seg_of_addr addr in
+    if not t.infos.(seg).condemned then w
+    else begin
+      let words = t.segs.(seg) in
+      let off = off_of_addr addr in
+      if Word.equal words.(off) Word.forward_marker then words.(off + 1)
+      else Word.forward_marker
+    end
+  end
 
-let forwarded t w = not (Word.equal (resolve t w) Word.forward_marker)
+let[@inline] forwarded t w = not (Word.equal (resolve t w) Word.forward_marker)
+
+(* Copy the not-yet-forwarded object [w] (first word [first], at [off] of
+   from-space segment [seg]) and leave the forwarding marker behind. *)
+let forward_object t ~target w seg off first =
+  let si = t.infos.(seg) in
+  let src = t.segs.(seg) in
+  let stats = t.stats.last in
+  let new_word =
+    if Word.is_pair_ptr w then begin
+      let new_addr = gc_alloc t ~space:si.space ~generation:target 2 in
+      let dst = t.segs.(seg_of_addr new_addr) in
+      let doff = off_of_addr new_addr in
+      dst.(doff) <- first;
+      dst.(doff + 1) <- src.(off + 1);
+      stats.words_copied <- stats.words_copied + 2;
+      Word.pair_ptr new_addr
+    end
+    else begin
+      let size = 1 + Obj.header_len first in
+      (* Zero-field objects are padded to two words so the forwarding
+         marker and address always fit (see Obj.code_pad). *)
+      let alloc_size = if size < 2 then 2 else size in
+      let new_addr = gc_alloc t ~space:si.space ~generation:target alloc_size in
+      let dst = t.segs.(seg_of_addr new_addr) in
+      let doff = off_of_addr new_addr in
+      Array.blit src off dst doff size;
+      if alloc_size > size then dst.(doff + size) <- Obj.header ~len:0 ~code:Obj.code_pad;
+      stats.words_copied <- stats.words_copied + size;
+      Word.typed_ptr new_addr
+    end
+  in
+  stats.objects_copied <- stats.objects_copied + 1;
+  (* Seeded debug bug (Config.corrupt_forward_period): corrupt every
+     nth forwarding address to an interior pointer.  The torture
+     harness must detect the damage via Verify or the oracle. *)
+  let f = t.faults in
+  let new_word =
+    if f.corrupt_forward_period = 0 then new_word
+    else begin
+      f.forwards_seen <- f.forwards_seen + 1;
+      if f.forwards_seen mod f.corrupt_forward_period = 0 then begin
+        f.injected <- f.injected + 1;
+        Word.with_addr new_word (Word.addr new_word + 1)
+      end
+      else new_word
+    end
+  in
+  src.(off) <- Word.forward_marker;
+  src.(off + 1) <- new_word;
+  (* Guardian-fixpoint worklist feed: each object forwards once, so the
+     log sees each from-space address at most once. *)
+  if t.gc_log_forwards then Vec.Int.push t.gc_forward_log (addr_of ~seg ~off);
+  new_word
 
 (** Copy [w] to the target generation if it is a pointer into from-space not
     yet copied; returns the new word. *)
-let copy t ~target w =
+let[@inline] copy t ~target w =
   if not (Word.is_pointer w) then w
   else begin
-    let si = info_of_word t w in
-    if not si.condemned then w
+    let addr = Word.addr w in
+    let seg = seg_of_addr addr in
+    if not t.infos.(seg).condemned then w
     else begin
-      let addr = Word.addr w in
-      let first = load t addr in
-      if Word.equal first Word.forward_marker then load t (addr + 1)
-      else begin
-        let stats = (Heap.stats t).last in
-        let new_word =
-          if Word.is_pair_ptr w then begin
-            let new_addr = gc_alloc t ~space:si.space ~generation:target 2 in
-            store t new_addr first;
-            store t (new_addr + 1) (load t (addr + 1));
-            stats.words_copied <- stats.words_copied + 2;
-            Word.pair_ptr new_addr
-          end
-          else begin
-            let size = 1 + Obj.header_len first in
-            (* Zero-field objects are padded to two words so the forwarding
-               marker and address always fit (see Obj.code_pad). *)
-            let alloc_size = max size 2 in
-            let new_addr = gc_alloc t ~space:si.space ~generation:target alloc_size in
-            for i = 0 to size - 1 do
-              store t (new_addr + i) (load t (addr + i))
-            done;
-            if alloc_size > size then
-              store t (new_addr + size) (Obj.header ~len:0 ~code:Obj.code_pad);
-            stats.words_copied <- stats.words_copied + size;
-            Word.typed_ptr new_addr
-          end
-        in
-        stats.objects_copied <- stats.objects_copied + 1;
-        (* Seeded debug bug (Config.corrupt_forward_period): corrupt every
-           nth forwarding address to an interior pointer.  The torture
-           harness must detect the damage via Verify or the oracle. *)
-        let new_word =
-          let f = t.faults in
-          if f.corrupt_forward_period = 0 then new_word
-          else begin
-            f.forwards_seen <- f.forwards_seen + 1;
-            if f.forwards_seen mod f.corrupt_forward_period = 0 then begin
-              f.injected <- f.injected + 1;
-              Word.with_addr new_word (Word.addr new_word + 1)
-            end
-            else new_word
-          end
-        in
-        store t addr Word.forward_marker;
-        store t (addr + 1) new_word;
-        (* Guardian-fixpoint worklist feed: each object forwards once, so
-           the log sees each from-space address at most once. *)
-        if t.gc_log_forwards then Vec.Int.push t.gc_forward_log addr;
-        new_word
-      end
+      let off = off_of_addr addr in
+      let first = t.segs.(seg).(off) in
+      if Word.equal first Word.forward_marker then t.segs.(seg).(off + 1)
+      else forward_object t ~target w seg off first
     end
   end
 
@@ -142,26 +158,34 @@ let push_dirty t seg =
    header), so typed fields are clamped to the range.  Pair cells never
    straddle a card (cards are >= 8 words and a power of two). *)
 let sweep t ~target seg ~start ~from ~upto =
-  let si = info t seg in
-  let stats = (Heap.stats t).last in
-  let fwd addr =
-    let w = copy t ~target (load t addr) in
-    store t addr w;
-    note_ref t ~addr ~gen:(ref_gen t w)
+  let si = t.infos.(seg) in
+  let words = t.segs.(seg) in
+  let gen = si.generation in
+  let stats = t.stats.last in
+  (* Immediates need neither forwarding nor a card; a referent is noted
+     only when it is younger than this segment. *)
+  let[@inline] fwd off =
+    let w = words.(off) in
+    if Word.is_pointer w then begin
+      let w = copy t ~target w in
+      words.(off) <- w;
+      let g = (info_of_word t w).generation in
+      if g < gen then note_ref t ~addr:(addr_of ~seg ~off) ~gen:g
+    end
   in
   (match si.space with
   | Space.Pair ->
       let off = ref from in
       while !off < upto do
-        fwd (addr_of ~seg ~off:!off);
-        fwd (addr_of ~seg ~off:(!off + 1));
+        fwd !off;
+        fwd (!off + 1);
         off := !off + 2
       done
   | Space.Weak ->
       let off = ref from in
       while !off < upto do
         (* car is weak: left alone here, handled by the weak pass. *)
-        fwd (addr_of ~seg ~off:(!off + 1));
+        fwd (!off + 1);
         off := !off + 2
       done
   | Space.Ephemeron ->
@@ -176,9 +200,11 @@ let sweep t ~target seg ~start ~from ~upto =
   | Space.Typed ->
       let off = ref start in
       while !off < upto do
-        let len = Obj.header_len (load t (addr_of ~seg ~off:!off)) in
-        for i = max (!off + 1) from to min (!off + len) (upto - 1) do
-          fwd (addr_of ~seg ~off:i)
+        let len = Obj.header_len words.(!off) in
+        let first = if !off + 1 > from then !off + 1 else from in
+        let last = if !off + len < upto - 1 then !off + len else upto - 1 in
+        for i = first to last do
+          fwd i
         done;
         off := !off + 1 + len
       done
@@ -255,122 +281,147 @@ let kleene_sweep t ~target =
 (* ------------------------------------------------------------------ *)
 (* Guardian pass                                                       *)
 
-type pend = { obj : Word.t; mutable rep : Word.t; tconc : Word.t; gid : int }
+(* Release the entries waiting on the tconc at from-space address [addr]
+   into the work list, in chain order. *)
+let release_waiters t ~addr =
+  let p = t.gc_pend in
+  match Hashtbl.find p.waiters addr with
+  | exception Not_found -> ()
+  | first ->
+      Hashtbl.remove p.waiters addr;
+      let stats = t.stats.last in
+      let k = ref first in
+      while !k >= 0 do
+        stats.guardian_pend_checks <- stats.guardian_pend_checks + 1;
+        Vec.Int.push p.work !k;
+        k := Vec.Int.get p.wait_next !k
+      done
+
+let clear_entries (p : protected) =
+  Vec.Int.clear p.p_objs;
+  Vec.Int.clear p.p_reps;
+  Vec.Int.clear p.p_tconcs;
+  Vec.Int.clear p.p_gids
 
 let guardian_pass t ~g ~target =
-  let st = Heap.stats t in
+  let st = t.stats in
   let stats = st.last in
-  let pend_hold = ref [] and pend_final = ref [] in
-  (* First block: separate accessible from inaccessible registered objects.
-     The protected lists themselves are collector metadata and are not
-     forwarded.  For held entries the rep (agent) is kept alive here. *)
+  let { hold; final; wait_next; work; waiters } = t.gc_pend in
+  (* The lists start empty even if an earlier pass was cut short. *)
+  clear_entries hold;
+  clear_entries final;
+  Vec.Int.clear wait_next;
+  Vec.Int.clear work;
+  Hashtbl.reset waiters;
+  (* First block: separate accessible from inaccessible registered objects,
+     touching each entry's from-space object once.  The protected lists
+     themselves are collector metadata and are not forwarded.  A held
+     entry keeps its object's new word and its copied rep (agent). *)
   for i = 0 to g do
     let p = t.protected.(i) in
-    let n = Vec.Int.length p.p_objs in
-    for j = 0 to n - 1 do
+    for j = 0 to Vec.Int.length p.p_objs - 1 do
       stats.protected_entries_visited <- stats.protected_entries_visited + 1;
-      let entry =
-        {
-          obj = Vec.Int.get p.p_objs j;
-          rep = Vec.Int.get p.p_reps j;
-          tconc = Vec.Int.get p.p_tconcs j;
-          gid = Vec.Int.get p.p_gids j;
-        }
-      in
-      if forwarded t entry.obj then begin
-        entry.rep <- copy t ~target entry.rep;
-        pend_hold := entry :: !pend_hold
-      end
-      else pend_final := entry :: !pend_final
+      let obj = Vec.Int.get p.p_objs j in
+      let rep = Vec.Int.get p.p_reps j in
+      let tconc = Vec.Int.get p.p_tconcs j in
+      let gid = Vec.Int.get p.p_gids j in
+      let moved = resolve t obj in
+      if Word.equal moved Word.forward_marker then protected_push final ~gid ~obj ~rep ~tconc
+      else protected_push hold ~gid ~obj:moved ~rep:(copy t ~target rep) ~tconc
     done;
-    Vec.Int.clear p.p_objs;
-    Vec.Int.clear p.p_reps;
-    Vec.Int.clear p.p_tconcs;
-    Vec.Int.clear p.p_gids
+    clear_entries p
   done;
   kleene_sweep t ~target;
   (* Second block: queue inaccessible objects whose guardian is
      accessible.  Forwarding the saved representatives can make further
      guardians accessible (a guardian registered with a guardian), so
      instead of repeatedly re-partitioning pend-final-list, entries whose
-     tconc is still in from-space wait in a table keyed by the tconc's
-     address, and every object forwarded while the fixpoint runs is
-     logged ([gc_forward_log]); draining the log wakes exactly the
-     waiters of the addresses that forwarded.  Each entry is checked at
-     most twice — at partition and when its tconc forwards — so the
-     fixpoint costs O(1) amortized per entry, proportional to the
-     entries actually saved. *)
-  let waiters : (int, pend list ref) Hashtbl.t = Hashtbl.create 16 in
-  let work = Queue.create () in
-  List.iter
-    (fun e ->
-      stats.guardian_pend_checks <- stats.guardian_pend_checks + 1;
-      if forwarded t e.tconc then Queue.add e work
-      else begin
-        let key = Word.addr e.tconc in
-        match Hashtbl.find_opt waiters key with
-        | Some r -> r := e :: !r
-        | None -> Hashtbl.add waiters key (ref [ e ])
-      end)
-    !pend_final;
-  pend_final := [];
-  t.gc_log_forwards <- true;
+     tconc is still in from-space wait in chains keyed by the tconc's
+     address, and while any entry waits every object forwarded is logged
+     ([gc_forward_log]); draining the log wakes exactly the waiters of the
+     addresses that forwarded.  Each entry is checked at most twice — at
+     partition and when its tconc forwards — so the fixpoint costs O(1)
+     amortized per entry, proportional to the entries actually saved.
+     Entries are queued, and each chain released, in reverse visit
+     order. *)
+  let nfinal = Vec.Int.length final.p_objs in
+  for k = 0 to nfinal - 1 do
+    stats.guardian_pend_checks <- stats.guardian_pend_checks + 1;
+    let tconc = Vec.Int.get final.p_tconcs k in
+    if forwarded t tconc then begin
+      Vec.Int.push work k;
+      Vec.Int.push wait_next (-1)
+    end
+    else begin
+      let addr = Word.addr tconc in
+      Vec.Int.push wait_next
+        (match Hashtbl.find waiters addr with exception Not_found -> -1 | next -> next);
+      Hashtbl.replace waiters addr k
+    end
+  done;
+  (* [work] was filled in visit order; the queue runs in reverse. *)
+  let n = Vec.Int.length work in
+  for i = 0 to (n / 2) - 1 do
+    let a = Vec.Int.get work i in
+    Vec.Int.set work i (Vec.Int.get work (n - 1 - i));
+    Vec.Int.set work (n - 1 - i) a
+  done;
   Vec.Int.clear t.gc_forward_log;
   Fun.protect
     ~finally:(fun () ->
       t.gc_log_forwards <- false;
       Vec.Int.clear t.gc_forward_log)
     (fun () ->
-      while not (Queue.is_empty work) do
-        while not (Queue.is_empty work) do
-          let e = Queue.pop work in
-          let rep = copy t ~target e.rep in
-          let tc = resolve t e.tconc in
-          Tconc.enqueue_with t
-            ~alloc_pair:(fun a d ->
-              let addr = gc_alloc t ~space:Space.Pair ~generation:target 2 in
-              store t addr a;
-              store t (addr + 1) d;
-              Word.pair_ptr addr)
-            tc rep;
+      while not (Vec.Int.is_empty work) do
+        t.gc_log_forwards <- Hashtbl.length waiters > 0;
+        for i = 0 to Vec.Int.length work - 1 do
+          let k = Vec.Int.get work i in
+          let gid = Vec.Int.get final.p_gids k in
+          let rep = copy t ~target (Vec.Int.get final.p_reps k) in
+          Tconc.collector_enqueue t ~generation:target
+            (resolve t (Vec.Int.get final.p_tconcs k))
+            rep;
           (* The entry becomes retrievable at the epoch following this
              collection (the poll-latency origin). *)
-          Stats.count_resurrection st ~gid:e.gid ~epoch:(t.gc_epoch + 1)
+          Stats.count_resurrection st ~gid ~epoch:(t.gc_epoch + 1)
         done;
+        Vec.Int.clear work;
         kleene_sweep t ~target;
         (* Tconcs forwarded by the saves above release their waiters. *)
-        Vec.Int.iter t.gc_forward_log ~f:(fun addr ->
-            match Hashtbl.find_opt waiters addr with
-            | Some r ->
-                Hashtbl.remove waiters addr;
-                List.iter
-                  (fun e ->
-                    stats.guardian_pend_checks <- stats.guardian_pend_checks + 1;
-                    Queue.add e work)
-                  (List.rev !r)
-            | None -> ());
+        for i = 0 to Vec.Int.length t.gc_forward_log - 1 do
+          release_waiters t ~addr:(Vec.Int.get t.gc_forward_log i)
+        done;
         Vec.Int.clear t.gc_forward_log
       done);
   (* Entries still waiting: their guardian itself died. *)
-  Hashtbl.iter (fun _ r -> List.iter (fun e -> Stats.count_drop st ~gid:e.gid) !r) waiters;
+  Hashtbl.iter
+    (fun _ first ->
+      let k = ref first in
+      while !k >= 0 do
+        Stats.count_drop st ~gid:(Vec.Int.get final.p_gids !k);
+        k := Vec.Int.get wait_next !k
+      done)
+    waiters;
   (* Third block: entries whose object is still accessible survive into the
-     target generation's protected list — provided their guardian does. *)
+     target generation's protected list — provided their guardian does —
+     in reverse visit order. *)
   let entry_generation =
     (* D1 ablation: a non-generation-friendly collector keeps every entry
        on generation 0's protected list, forcing every minor collection to
        visit all of them. *)
-    if (Heap.config t).Config.generation_friendly_guardians then target else 0
+    if t.config.Config.generation_friendly_guardians then target else 0
   in
-  List.iter
-    (fun e ->
-      let tconc = resolve t e.tconc in
-      if not (Word.equal tconc Word.forward_marker) then begin
-        protected_add_gen t ~generation:entry_generation ~gid:e.gid ~obj:(resolve t e.obj)
-          ~rep:(resolve t e.rep) ~tconc;
-        stats.guardian_entries_promoted <- stats.guardian_entries_promoted + 1
-      end
-      else Stats.count_drop st ~gid:e.gid)
-    !pend_hold
+  let into = t.protected.(entry_generation) in
+  for k = Vec.Int.length hold.p_objs - 1 downto 0 do
+    let gid = Vec.Int.get hold.p_gids k in
+    let tconc = resolve t (Vec.Int.get hold.p_tconcs k) in
+    if not (Word.equal tconc Word.forward_marker) then begin
+      protected_push into ~gid ~obj:(Vec.Int.get hold.p_objs k)
+        ~rep:(Vec.Int.get hold.p_reps k) ~tconc;
+      stats.guardian_entries_promoted <- stats.guardian_entries_promoted + 1
+    end
+    else Stats.count_drop st ~gid
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Weak pass                                                           *)

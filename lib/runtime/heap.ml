@@ -82,6 +82,25 @@ type faults = {
   mutable injected : int;  (** faults actually fired so far *)
 }
 
+(* The guardian pass's worklists (see Collector.guardian_pass).  The
+   heap owns them so their storage is reused from one collection to the
+   next. *)
+type pend = {
+  hold : protected;
+      (** entries whose object survived, in visit order: [obj] and [rep]
+          already forwarded, [tconc] as registered *)
+  final : protected;
+      (** entries whose object proved inaccessible, as registered, in visit
+          order *)
+  wait_next : Vec.Int.t;
+      (** parallel to [final]: the next entry waiting on the same tconc,
+          or -1 *)
+  work : Vec.Int.t;  (** indices into [final] whose tconc is accessible *)
+  waiters : (int, int) Hashtbl.t;
+      (** from-space tconc address -> first index into [final] waiting on
+          it *)
+}
+
 type t = {
   config : Config.t;
   stats : Stats.t;
@@ -103,6 +122,7 @@ type t = {
       (** from-space addresses of objects forwarded while
           [gc_log_forwards] — the guardian fixpoint's worklist feed *)
   mutable gc_log_forwards : bool;
+  gc_pend : pend;
   dirty : Vec.Int.t;  (** seg ids with [min_ref_gen < generation] *)
   mutable epoch_counter : int;
   protected : protected array;  (** per generation *)
@@ -156,6 +176,14 @@ let card_shift_of_words words =
   done;
   !s
 
+let fresh_protected () =
+  {
+    p_objs = Vec.Int.create ();
+    p_reps = Vec.Int.create ();
+    p_tconcs = Vec.Int.create ();
+    p_gids = Vec.Int.create ();
+  }
+
 let create ?(config = Config.default) () =
   {
     config;
@@ -174,16 +202,17 @@ let create ?(config = Config.default) () =
     gc_ephemerons = Vec.Int.create ();
     gc_forward_log = Vec.Int.create ();
     gc_log_forwards = false;
+    gc_pend =
+      {
+        hold = fresh_protected ();
+        final = fresh_protected ();
+        wait_next = Vec.Int.create ();
+        work = Vec.Int.create ();
+        waiters = Hashtbl.create 16;
+      };
     dirty = Vec.Int.create ();
     epoch_counter = 0;
-    protected =
-      Array.init (config.max_generation + 1) (fun _ ->
-          {
-            p_objs = Vec.Int.create ();
-            p_reps = Vec.Int.create ();
-            p_tconcs = Vec.Int.create ();
-            p_gids = Vec.Int.create ();
-          });
+    protected = Array.init (config.max_generation + 1) (fun _ -> fresh_protected ());
     global_cells = Array.make 64 Word.nil;
     global_cells_len = 0;
     global_free = [];
@@ -220,23 +249,23 @@ let cards_for t words = if words <= 0 then 0 else ((words - 1) lsr t.card_shift)
 (* ------------------------------------------------------------------ *)
 (* Store access                                                        *)
 
-let seg_of_addr addr = addr lsr stride_bits
-let off_of_addr addr = addr land (max_segment_words - 1)
-let addr_of ~seg ~off = (seg lsl stride_bits) lor off
+let[@inline] seg_of_addr addr = addr lsr stride_bits
+let[@inline] off_of_addr addr = addr land (max_segment_words - 1)
+let[@inline] addr_of ~seg ~off = (seg lsl stride_bits) lor off
 
-let load t addr = t.segs.(seg_of_addr addr).(off_of_addr addr)
-let store t addr w = t.segs.(seg_of_addr addr).(off_of_addr addr) <- w
+let[@inline] load t addr = t.segs.(seg_of_addr addr).(off_of_addr addr)
+let[@inline] store t addr w = t.segs.(seg_of_addr addr).(off_of_addr addr) <- w
 
-let info t seg = t.infos.(seg)
-let info_of_addr t addr = t.infos.(seg_of_addr addr)
-let info_of_word t w = t.infos.(seg_of_addr (Word.addr w))
+let[@inline] info t seg = t.infos.(seg)
+let[@inline] info_of_addr t addr = t.infos.(seg_of_addr addr)
+let[@inline] info_of_word t w = t.infos.(seg_of_addr (Word.addr w))
 
 (** Generation an arbitrary word "lives in": immediates and fixnums are
     ageless and report [max_int] (they never need remembering). *)
-let generation_of_word t w =
+let[@inline] generation_of_word t w =
   if Word.is_pointer w then (info_of_word t w).generation else max_int
 
-let space_of_word t w =
+let[@inline] space_of_word t w =
   assert (Word.is_pointer w);
   (info_of_word t w).space
 
@@ -428,7 +457,7 @@ let alloc t ~space nwords =
   bump t ~cursors:t.mutator_cursors ~space ~generation:0 nwords
 
 (** Collector allocation into the target generation during a collection. *)
-let gc_alloc t ~space ~generation nwords =
+let[@inline] gc_alloc t ~space ~generation nwords =
   assert t.in_collection;
   bump t ~cursors:t.gc_cursors ~space ~generation nwords
 
@@ -456,7 +485,7 @@ let mark_card t si ~addr ~gen =
 (** Record (collector-side) that the slot at [addr] references generation
     [gen]: marks the covering card and keeps the segment summary in sync.
     The slot's own write must be done by the caller. *)
-let note_ref t ~addr ~gen =
+let[@inline] note_ref t ~addr ~gen =
   let si = t.infos.(seg_of_addr addr) in
   if gen < si.generation then mark_card t si ~addr ~gen
 
@@ -464,7 +493,7 @@ let note_ref t ~addr ~gen =
     write barrier.  Cheap on the fast paths: non-pointer stores and stores
     into generation-0 segments exit after one or two compares; only an
     old-to-young store (a "hit") touches the card table. *)
-let note_mutation t ~addr ~value =
+let[@inline] note_mutation t ~addr ~value =
   let st = t.stats in
   st.barrier_calls <- st.barrier_calls + 1;
   if Word.is_pointer value then begin
@@ -559,8 +588,7 @@ let with_cell t w f =
 (* ------------------------------------------------------------------ *)
 (* Protected lists (guardian registrations)                            *)
 
-let protected_add_gen t ~generation ~gid ~obj ~rep ~tconc =
-  let p = t.protected.(generation) in
+let[@inline] protected_push p ~gid ~obj ~rep ~tconc =
   Vec.Int.push p.p_objs obj;
   Vec.Int.push p.p_reps rep;
   Vec.Int.push p.p_tconcs tconc;
@@ -571,7 +599,7 @@ let protected_add_gen t ~generation ~gid ~obj ~rep ~tconc =
     [rep] is what the collector will enqueue when [obj] proves
     inaccessible. *)
 let protected_add t ~gid ~obj ~rep ~tconc =
-  protected_add_gen t ~generation:0 ~gid ~obj ~rep ~tconc;
+  protected_push t.protected.(0) ~gid ~obj ~rep ~tconc;
   Stats.count_registration t.stats ~gid
 
 let protected_length t generation =

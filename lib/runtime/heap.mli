@@ -73,6 +73,24 @@ type protected = {
     registrations; a distinct agent for the paper's Section 5 interface).
     [gid] is the owning guardian's id ({!Stats.guardian}). *)
 
+type pend = {
+  hold : protected;
+      (** entries whose object survived, in visit order: [obj] and [rep]
+          already forwarded, [tconc] as registered *)
+  final : protected;
+      (** entries whose object proved inaccessible, as registered, in visit
+          order *)
+  wait_next : Vec.Int.t;
+      (** parallel to [final]: the next entry waiting on the same tconc,
+          or -1 *)
+  work : Vec.Int.t;  (** indices into [final] whose tconc is accessible *)
+  waiters : (int, int) Hashtbl.t;
+      (** from-space tconc address -> first index into [final] waiting on
+          it *)
+}
+(** The guardian pass's worklists ({!Collector}).  The heap owns them so
+    their storage is reused from one collection to the next. *)
+
 type t = {
   config : Config.t;
   stats : Stats.t;
@@ -94,6 +112,7 @@ type t = {
       (** from-space addresses of objects forwarded while
           [gc_log_forwards] — the guardian fixpoint's worklist feed *)
   mutable gc_log_forwards : bool;
+  gc_pend : pend;
   dirty : Vec.Int.t;
   mutable epoch_counter : int;
   protected : protected array;  (** per generation *)
@@ -268,8 +287,10 @@ val protected_add :
     count the registration.  [gid] is the registering guardian's id
     ({!Guardian.id}). *)
 
-val protected_add_gen :
-  t -> generation:int -> gid:int -> obj:Word.t -> rep:Word.t -> tconc:Word.t -> unit
+val protected_push :
+  protected -> gid:int -> obj:Word.t -> rep:Word.t -> tconc:Word.t -> unit
+(** Append an entry to one protected list (or one of the guardian pass's
+    lists), uncounted. *)
 
 val protected_length : t -> int -> int
 val protected_total : t -> int

@@ -47,9 +47,9 @@ let type_name = function
   | 11 -> "pad"
   | _ -> "unknown"
 
-let header ~len ~code = Word.of_fixnum ((len lsl 8) lor code)
-let header_len h = Word.to_fixnum h lsr 8
-let header_code h = Word.to_fixnum h land 0xff
+let[@inline] header ~len ~code = Word.of_fixnum ((len lsl 8) lor code)
+let[@inline] header_len h = Word.to_fixnum h lsr 8
+let[@inline] header_code h = Word.to_fixnum h land 0xff
 
 (* ------------------------------------------------------------------ *)
 (* Segment parse                                                       *)
@@ -122,21 +122,21 @@ let is_ephemeron h w =
     manipulated with the normal list operations. *)
 let is_any_pair _h w = Word.is_pair_ptr w
 
-let car h w =
+let[@inline] car h w =
   assert (Word.is_pair_ptr w);
   Heap.load h (Word.addr w)
 
-let cdr h w =
+let[@inline] cdr h w =
   assert (Word.is_pair_ptr w);
   Heap.load h (Word.addr w + 1)
 
-let set_car h w v =
+let[@inline] set_car h w v =
   assert (Word.is_pair_ptr w);
   let addr = Word.addr w in
   Heap.store h addr v;
   Heap.note_mutation h ~addr ~value:v
 
-let set_cdr h w v =
+let[@inline] set_cdr h w v =
   assert (Word.is_pair_ptr w);
   let addr = Word.addr w + 1 in
   Heap.store h addr v;

@@ -121,7 +121,8 @@ type guardian = {
   mutable g_hits : int;
   mutable g_latency_sum : int;
   mutable g_latency_max : int;
-  g_pending_epochs : int Queue.t;
+  g_pending_epochs : Vec.Int.t;
+  mutable g_pending_head : int;
 }
 
 let fresh_guardian gid =
@@ -134,7 +135,8 @@ let fresh_guardian gid =
     g_hits = 0;
     g_latency_sum = 0;
     g_latency_max = 0;
-    g_pending_epochs = Queue.create ();
+    g_pending_epochs = Vec.Int.create ~capacity:4 ();
+    g_pending_head = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -205,7 +207,7 @@ let new_guardian t =
 
 let guardian_count t = t.nguardians
 
-let guardian t gid =
+let[@inline] guardian t gid =
   if gid < 0 || gid >= t.nguardians then invalid_arg "Stats.guardian: unknown guardian id";
   t.guardians.(gid)
 
@@ -214,10 +216,34 @@ let restore_guardian_count t n =
     ignore (new_guardian t)
   done
 
-let count_registration t ~gid =
+let[@inline] count_registration t ~gid =
   let g = guardian t gid in
   t.registrations <- t.registrations + 1;
   g.g_registrations <- g.g_registrations + 1
+
+let pending_epochs g = Vec.Int.length g.g_pending_epochs - g.g_pending_head
+
+(* Oldest pending epoch.  Popped slots are reclaimed once they make up
+   half the vector, so the FIFO's storage stays proportional to what is
+   pending. *)
+let pop_pending g =
+  let q = g.g_pending_epochs in
+  let head = g.g_pending_head in
+  let epoch = Vec.Int.get q head in
+  let n = Vec.Int.length q in
+  if head + 1 = n then begin
+    Vec.Int.clear q;
+    g.g_pending_head <- 0
+  end
+  else if 2 * (head + 1) >= n && head >= 15 then begin
+    for i = head + 1 to n - 1 do
+      Vec.Int.set q (i - head - 1) (Vec.Int.get q i)
+    done;
+    Vec.Int.truncate q (n - head - 1);
+    g.g_pending_head <- 0
+  end
+  else g.g_pending_head <- head + 1;
+  epoch
 
 let count_poll t ~gid ~hit ~epoch =
   let g = guardian t gid in
@@ -226,26 +252,30 @@ let count_poll t ~gid ~hit ~epoch =
   if hit then begin
     t.guardian_hits <- t.guardian_hits + 1;
     g.g_hits <- g.g_hits + 1;
-    if not (Queue.is_empty g.g_pending_epochs) then begin
-      let latency = max 0 (epoch - Queue.pop g.g_pending_epochs) in
+    if pending_epochs g > 0 then begin
+      let latency = max 0 (epoch - pop_pending g) in
       g.g_latency_sum <- g.g_latency_sum + latency;
       if latency > g.g_latency_max then g.g_latency_max <- latency
     end
   end
 
-let count_resurrection t ~gid ~epoch =
+let[@inline] count_resurrection t ~gid ~epoch =
   let g = guardian t gid in
   t.last.guardian_resurrections <- t.last.guardian_resurrections + 1;
   g.g_resurrections <- g.g_resurrections + 1;
   (* The tconc is FIFO and only the guardian's retrieve dequeues it, so a
-     plain queue of resurrection epochs stays aligned with the queued
-     objects. *)
-  Queue.push epoch g.g_pending_epochs
+     FIFO of resurrection epochs stays aligned with the queued objects. *)
+  Vec.Int.push g.g_pending_epochs epoch
 
 let count_drop t ~gid =
   let g = guardian t gid in
   t.last.guardian_entries_dropped <- t.last.guardian_entries_dropped + 1;
-  g.g_drops <- g.g_drops + 1
+  g.g_drops <- g.g_drops + 1;
+  (* A drop means the guardian's tconc died in this collection, and with
+     it every object still queued there: their epochs will never be
+     retrieved, and the row of a dead guardian keeps no FIFO storage. *)
+  Vec.Int.reset g.g_pending_epochs;
+  g.g_pending_head <- 0
 
 let count_image_save t ~bytes ~words =
   t.image_saves <- t.image_saves + 1;

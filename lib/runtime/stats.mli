@@ -71,10 +71,15 @@ type guardian = {
       (** total collections elapsed between each hit's resurrection and
           its retrieval — the finalization-lag metric *)
   mutable g_latency_max : int;
-  g_pending_epochs : int Queue.t;
-      (** resurrection epochs of queued-but-not-yet-retrieved entries;
-          FIFO, mirroring the guardian's tconc *)
+  g_pending_epochs : Vec.Int.t;
+      (** resurrection epochs of queued-but-not-yet-retrieved entries,
+          oldest at [g_pending_head]; FIFO, mirroring the guardian's
+          tconc *)
+  mutable g_pending_head : int;
 }
+
+val pending_epochs : guardian -> int
+(** Length of the guardian's pending-epoch FIFO. *)
 
 type t = {
   mutable last : counters;
@@ -143,7 +148,9 @@ val count_resurrection : t -> gid:int -> epoch:int -> unit
     0. *)
 
 val count_drop : t -> gid:int -> unit
-(** During a collection: an entry dropped because its guardian died. *)
+(** During a collection: an entry dropped because its guardian died.  The
+    guardian's pending-epoch FIFO is emptied and its storage released:
+    the objects still queued died with its tconc. *)
 
 val count_image_save : t -> bytes:int -> words:int -> unit
 val count_image_load : t -> bytes:int -> words:int -> unit

@@ -41,10 +41,9 @@ let to_list h tc =
   in
   loop (Obj.car h tc) []
 
-(** Collector-side append (Figure 3).  [alloc_pair] abstracts where the
-    fresh last cell comes from: the real collector allocates it in the
-    target generation via {!Heap.gc_alloc}; tests and the mutator-side
-    variant use ordinary allocation. *)
+(** The append protocol (Figure 3) with ordinary mutator stores.
+    [alloc_pair] abstracts where the fresh last cell comes from; tests and
+    the mutator-side variant use ordinary allocation. *)
 let enqueue_with h ~alloc_pair tc obj =
   let stats = Heap.stats h in
   stats.Stats.tconc_enqueues <- stats.Stats.tconc_enqueues + 1;
@@ -55,6 +54,33 @@ let enqueue_with h ~alloc_pair tc obj =
   (* Final update: publish.  Until this store the mutator still sees the old
      last cell as the end marker and ignores the new element. *)
   Obj.set_cdr h tc new_last
+
+(** Collector-side append (Figure 3), run inside a collection: the fresh
+    last cell goes straight to the target [generation], and the stores
+    are recorded with the collector's card marking ({!Heap.note_ref}), not
+    the mutator write barrier — they are not mutator stores.  [tc] must
+    already be forwarded and swept, so its fields point out of
+    from-space. *)
+let[@inline] collector_enqueue h ~generation tc obj =
+  let stats = Heap.stats h in
+  stats.Stats.tconc_enqueues <- stats.Stats.tconc_enqueues + 1;
+  assert (Word.is_pair_ptr tc);
+  let tc_cdr = Word.addr tc + 1 in
+  let old_last = Heap.load h tc_cdr in
+  assert (Word.is_pair_ptr old_last);
+  let cell = Heap.gc_alloc h ~space:Space.Pair ~generation 2 in
+  Heap.store h cell Word.false_;
+  Heap.store h (cell + 1) Word.nil;
+  let new_last = Word.pair_ptr cell in
+  let at = Word.addr old_last in
+  Heap.store h at obj;
+  Heap.note_ref h ~addr:at ~gen:(Heap.generation_of_word h obj);
+  Heap.store h (at + 1) new_last;
+  Heap.note_ref h ~addr:(at + 1) ~gen:generation;
+  (* Final update: publish.  Until this store the mutator still sees the old
+     last cell as the end marker and ignores the new element. *)
+  Heap.store h tc_cdr new_last;
+  Heap.note_ref h ~addr:tc_cdr ~gen:generation
 
 (** Step-decomposed collector append, for the interleaving checker.
 

@@ -18,9 +18,16 @@ val to_list : Heap.t -> Word.t -> Word.t list
 
 val enqueue_with :
   Heap.t -> alloc_pair:(Word.t -> Word.t -> Word.t) -> Word.t -> Word.t -> unit
-(** Collector-side append (Figure 3).  [alloc_pair] abstracts where the
-    fresh last cell comes from: the collector allocates it in the target
-    generation; tests use ordinary allocation. *)
+(** The append protocol (Figure 3) with ordinary barriered stores.
+    [alloc_pair] abstracts where the fresh last cell comes from; tests use
+    ordinary allocation. *)
+
+val collector_enqueue : Heap.t -> generation:int -> Word.t -> Word.t -> unit
+(** Collector-side append (Figure 3), during a collection: the fresh last
+    cell is allocated in [generation] (the target), and the stores are
+    card-marked by the collector ({!Heap.note_ref}) rather than counted as
+    mutator barrier calls.  The tconc must already be forwarded and
+    swept. *)
 
 val mutator_enqueue : Heap.t -> Word.t -> Word.t -> unit
 (** Append using ordinary generation-0 allocation. *)

@@ -13,11 +13,15 @@ module Int = struct
 
   let create ?(capacity = 16) () = { data = Array.make (max capacity 1) 0; len = 0 }
 
-  let length t = t.len
+  let[@inline] length t = t.len
 
-  let is_empty t = t.len = 0
+  let[@inline] is_empty t = t.len = 0
 
-  let clear t = t.len <- 0
+  let[@inline] clear t = t.len <- 0
+
+  let reset t =
+    t.len <- 0;
+    if Array.length t.data > 16 then t.data <- Array.make 16 0
 
   let ensure t n =
     if n > Array.length t.data then begin
@@ -30,25 +34,27 @@ module Int = struct
       t.data <- data
     end
 
-  let push t x =
-    ensure t (t.len + 1);
+  (* The growth path stays out of line so [push] inlines to a compare and
+     two stores. *)
+  let[@inline] push t x =
+    if t.len >= Array.length t.data then ensure t (t.len + 1);
     t.data.(t.len) <- x;
     t.len <- t.len + 1
 
-  let get t i =
+  let[@inline] get t i =
     assert (i >= 0 && i < t.len);
     t.data.(i)
 
-  let set t i x =
+  let[@inline] set t i x =
     assert (i >= 0 && i < t.len);
     t.data.(i) <- x
 
-  let pop t =
+  let[@inline] pop t =
     assert (t.len > 0);
     t.len <- t.len - 1;
     t.data.(t.len)
 
-  let truncate t n =
+  let[@inline] truncate t n =
     assert (n >= 0 && n <= t.len);
     t.len <- n
 

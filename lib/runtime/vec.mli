@@ -7,6 +7,10 @@ module Int : sig
   val length : t -> int
   val is_empty : t -> bool
   val clear : t -> unit
+
+  val reset : t -> unit
+  (** Empty the vector and release its storage beyond 16 elements. *)
+
   val push : t -> int -> unit
   val get : t -> int -> int
   val set : t -> int -> int -> unit

@@ -21,7 +21,7 @@
 
 type t = int
 
-let equal (a : t) (b : t) = a = b
+let[@inline] equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = compare a b
 
 (* ------------------------------------------------------------------ *)
@@ -30,12 +30,12 @@ let compare (a : t) (b : t) = compare a b
 let fixnum_min = min_int asr 1
 let fixnum_max = max_int asr 1
 
-let of_fixnum n =
+let[@inline] of_fixnum n =
   assert (n >= fixnum_min && n <= fixnum_max);
   n lsl 1
 
-let is_fixnum w = w land 1 = 0
-let to_fixnum w =
+let[@inline] is_fixnum w = w land 1 = 0
+let[@inline] to_fixnum w =
   assert (is_fixnum w);
   w asr 1
 
@@ -47,20 +47,20 @@ let pair_tag = 0b001
 let typed_tag = 0b011
 let imm_tag = 0b101
 
-let is_pair_ptr w = w land tag_mask = pair_tag
-let is_typed_ptr w = w land tag_mask = typed_tag
-let is_pointer w = w land 1 = 1 && w land tag_mask <> imm_tag
+let[@inline] is_pair_ptr w = w land tag_mask = pair_tag
+let[@inline] is_typed_ptr w = w land tag_mask = typed_tag
+let[@inline] is_pointer w = w land 1 = 1 && w land tag_mask <> imm_tag
 
-let pair_ptr addr = (addr lsl 3) lor pair_tag
-let typed_ptr addr = (addr lsl 3) lor typed_tag
+let[@inline] pair_ptr addr = (addr lsl 3) lor pair_tag
+let[@inline] typed_ptr addr = (addr lsl 3) lor typed_tag
 
-let addr w =
+let[@inline] addr w =
   assert (is_pointer w);
   w lsr 3
 
 (* Rebuild a pointer with the same tag but a new address: used by the
    collector when forwarding. *)
-let with_addr w addr = (addr lsl 3) lor (w land tag_mask)
+let[@inline] with_addr w addr = (addr lsl 3) lor (w land tag_mask)
 
 (* ------------------------------------------------------------------ *)
 (* Immediates                                                          *)
@@ -92,7 +92,7 @@ let void = imm code_void 0
 let unbound = imm code_unbound 0
 let forward_marker = imm code_forward 0
 
-let of_bool b = if b then true_ else false_
+let[@inline] of_bool b = if b then true_ else false_
 
 let of_char c = imm code_char (Char.code c)
 let is_char w = is_imm w && imm_code w = code_char
@@ -100,12 +100,12 @@ let to_char w =
   assert (is_char w);
   Char.chr (imm_payload w land 0xff)
 
-let is_nil w = w = nil
-let is_false w = w = false_
-let is_true w = w = true_
+let[@inline] is_nil w = w = nil
+let[@inline] is_false w = w = false_
+let[@inline] is_true w = w = true_
 
 (* Scheme truthiness: everything except #f. *)
-let truthy w = w <> false_
+let[@inline] truthy w = w <> false_
 
 let pp ppf w =
   if is_fixnum w then Format.fprintf ppf "fx:%d" (to_fixnum w)

@@ -292,6 +292,61 @@ let test_drop_counted_per_guardian () =
   check_int "both entries dropped" 2 s.Stats.g_drops;
   check_int "no resurrections" 0 s.Stats.g_resurrections
 
+let fifo_total h =
+  let st = Heap.stats h in
+  let total = ref 0 in
+  for gid = 0 to Stats.guardian_count st - 1 do
+    total := !total + Stats.pending_epochs (Stats.guardian st gid)
+  done;
+  !total
+
+let test_dead_guardian_fifo_reclaimed () =
+  (* A dropped guardian whose tconc sits in an uncollected old generation
+     still receives resurrections (paper semantics), and nothing ever
+     retrieves them.  Once a full collection kills the tconc, the
+     guardian's pending-epoch FIFO must go with it; a live guardian's
+     FIFO and latency figures are untouched. *)
+  let h = heap () in
+  let live = Handle.create h (Guardian.make h) in
+  for i = 0 to 2 do
+    Guardian.register h (Handle.get live) (Obj.cons h (fx i) Word.nil)
+  done;
+  full_collect h;
+  let resurrected_at = Heap.gc_epoch h in
+  let keep = Handle.create h (Obj.cons h (fx 99) Word.nil) in
+  for round = 1 to 5 do
+    let g = Handle.create h (Guardian.make h) in
+    (* A registration that outlives the guardian, so its death shows up
+       as a drop. *)
+    Guardian.register h (Handle.get g) (Handle.get keep);
+    full_collect h;
+    check_int "guardian promoted to the oldest generation" (Heap.max_generation h)
+      (Heap.generation_of_word h (Handle.get g));
+    for i = 0 to 3 do
+      Guardian.register h (Handle.get g) (Obj.cons h (fx ((10 * round) + i)) Word.nil)
+    done;
+    Handle.free g;
+    (* A minor collection: the dead guardian's old tconc is not collected,
+       so the four objects are resurrected into it, never to be
+       retrieved. *)
+    ignore (Collector.collect h ~gen:0);
+    check_int "resurrected into the dropped guardian" 4
+      (Heap.stats h).Stats.last.Stats.guardian_resurrections
+  done;
+  full_collect h;
+  check_int "every dropped guardian counted a drop" 5
+    (Heap.stats h).Stats.total.Stats.guardian_entries_dropped;
+  let queued = Guardian.pending_count h (Handle.get live) in
+  check_int "live guardian still holds its three" 3 queued;
+  check "pending epochs bounded by objects queued in live guardians" true
+    (fifo_total h <= queued);
+  let elapsed = Heap.gc_epoch h - resurrected_at in
+  check_int "all three retrieved" 3 (List.length (retrieve_all h (Handle.get live)));
+  let s = Guardian.stats h (Handle.get live) in
+  check_int "live latency sum" (3 * elapsed) s.Stats.g_latency_sum;
+  check_int "live latency max" elapsed s.Stats.g_latency_max;
+  check_int "no pending epochs left" 0 (fifo_total h)
+
 let test_entries_promoted_with_object () =
   (* A live registration's protected entry moves to the target generation:
      later minor collections do not visit it (generation-friendliness). *)
@@ -443,6 +498,8 @@ let () =
           Alcotest.test_case "poll latency" `Quick test_poll_latency;
           Alcotest.test_case "drops per guardian" `Quick
             test_drop_counted_per_guardian;
+          Alcotest.test_case "dead guardian's FIFO reclaimed" `Quick
+            test_dead_guardian_fifo_reclaimed;
         ] );
       ( "heap image",
         [
